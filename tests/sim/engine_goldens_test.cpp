@@ -12,6 +12,7 @@
 #include "baseline/baseline.hpp"
 #include "core/config.hpp"
 #include "core/json.hpp"
+#include "runner/export.hpp"
 #include "runner/runner.hpp"
 #include "sim/simulation.hpp"
 
@@ -129,6 +130,67 @@ TEST(EngineGoldensTest, SinglePointsReplayBitIdentical) {
     EXPECT_EQ(static_cast<std::int64_t>(r.views.size()),
               want.at("view_count").as_int());
   }
+}
+
+/// Checks one recorded transport-point result field by field.
+void expect_transport_result(const RunResult& r, const json::Object& want) {
+  const auto expect_count = [&want](std::uint64_t actual, const char* key) {
+    EXPECT_EQ(static_cast<std::int64_t>(actual), want.at(key).as_int()) << key;
+  };
+  EXPECT_EQ(r.terminated, want.at("terminated").as_bool());
+  EXPECT_EQ(static_cast<std::int64_t>(r.termination_time),
+            want.at("termination_time").as_int());
+  expect_count(r.events_processed, "events_processed");
+  expect_count(r.messages_sent, "messages_sent");
+  expect_count(r.messages_delivered, "messages_delivered");
+  expect_count(r.messages_dropped, "messages_dropped");
+  expect_count(r.bytes_sent, "bytes_sent");
+  expect_count(r.timers_fired, "timers_fired");
+  expect_count(r.decisions.size(), "decision_count");
+  expect_count(r.views.size(), "view_count");
+  expect_count(r.messages_corrupted, "messages_corrupted");
+  expect_count(r.messages_injected, "messages_injected");
+  expect_count(r.attacker_dropped, "attacker_dropped");
+  expect_count(r.attacker_delayed, "attacker_delayed");
+  expect_count(r.attacker_modified, "attacker_modified");
+  expect_count(r.attacker_duplicated, "attacker_duplicated");
+  expect_count(r.gossip_relayed, "gossip_relayed");
+  expect_count(r.gossip_duplicates, "gossip_duplicates");
+  expect_count(r.trace_records, "trace_records");
+  EXPECT_EQ(fingerprint_to_hex(r.trace_fingerprint),
+            want.at("trace_fingerprint").as_string());
+}
+
+// Traced single runs that reach every transport stage (attacker verdicts,
+// link flaps, corruption, crashes, clock skew, cost model, topology, WAN
+// matrix and bandwidth, gossip relay, the packet-level baseline). Windowed
+// (per_node) points must match the record at every lane count.
+TEST(EngineGoldensTest, TransportPointsReplayBitIdentical) {
+  const json::Value doc = json::parse_file(kGoldensPath);
+  const json::Array& points = doc.as_object().at("transport_points").as_array();
+  ASSERT_GE(points.size(), 10u);
+  std::size_t windowed = 0;
+  for (const json::Value& point : points) {
+    const json::Object& o = point.as_object();
+    SCOPED_TRACE(o.at("name").as_string());
+    SimConfig cfg = SimConfig::from_json(o.at("config"));
+    const json::Object& want = o.at("result").as_object();
+    if (o.at("baseline").as_bool()) {
+      expect_transport_result(baseline::run_baseline_simulation(cfg), want);
+      continue;
+    }
+    if (!cfg.engine.per_node_rng()) {
+      expect_transport_result(run_simulation(cfg), want);
+      continue;
+    }
+    ++windowed;
+    for (const std::uint32_t jobs : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE("intra_jobs=" + std::to_string(jobs));
+      cfg.engine.intra_jobs = jobs;
+      expect_transport_result(run_simulation(cfg), want);
+    }
+  }
+  EXPECT_GE(windowed, 2u);
 }
 
 }  // namespace
