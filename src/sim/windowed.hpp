@@ -30,8 +30,13 @@
 // would make draw order depend on the interleaving). Windowed runs
 // therefore have their own goldens; `engine.intra_jobs = 1` with
 // `engine.rng = "per_node"` is the serial baseline those goldens pin.
-// See docs/PARALLELISM.md for the full argument and the exclusions
-// (attacks, the run timeline sampler, subclassed delivery hooks).
+// The engine runs the shared transport pipeline (sim/transport.hpp)
+// through its LanePort. Stages with no lane-invariant form are excluded:
+// attacks and closed-loop workloads fall back to the serial engine with an
+// engine-serial-fallback warning (Controller::run); gossip relay,
+// bandwidth queues and the run timeline are rejected by SimConfig::validate;
+// subclass delivery hooks are rejected by Controller::run. See
+// docs/PARALLELISM.md for the full argument.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +55,11 @@
 #include "core/types.hpp"
 #include "net/envelope.hpp"
 #include "net/message.hpp"
+#include "obs/profile.hpp"
+#include "sim/controller.hpp"
 #include "sim/result.hpp"
 
 namespace bftsim {
-
-class Controller;
 
 /// The largest safe window width for `cfg`, in Time units: the infimum of
 /// the network-delay distribution (after clamping and the topology's
@@ -82,19 +87,10 @@ class WindowedEngine {
   /// Runs the simulation to termination; call at most once.
   [[nodiscard]] RunResult run();
 
-  // --- Context entry points (Controller::NodeCtx routes here) --------------
-  [[nodiscard]] Time ctx_now(NodeId node) const noexcept {
-    return lanes_[lane_index(node)]->now;
-  }
-  [[nodiscard]] Arena& ctx_arena(NodeId node) noexcept;
-  void ctx_send(NodeId src, NodeId dst, PayloadPtr payload);
-  void ctx_broadcast(NodeId src, PayloadPtr payload, bool include_self);
-  [[nodiscard]] TimerId ctx_set_timer(NodeId node, Time delay, std::uint64_t tag);
-  void ctx_cancel_timer(NodeId node, TimerId id);
-  void ctx_report_decision(NodeId node, Value value);
-  void ctx_record_view(NodeId node, View view);
-
  private:
+  /// The lane-side port onto the transport pipeline (see windowed.cpp).
+  struct LanePort;
+
   // Ordering keys: (origin + 1) << 40 | per-origin counter. Origin slot 0
   // is reserved (nothing queues under it today; global artifacts would
   // sort first at ties). The counter doubles as the message/timer id
@@ -105,13 +101,6 @@ class WindowedEngine {
   // slab indexes stay below 1 << 24 by EnvelopeStore's capacity cap.
   static constexpr unsigned kLaneShift = 24;
   static constexpr std::uint32_t kEnvMask = (1u << kLaneShift) - 1;
-
-  struct EventOrder {
-    [[nodiscard]] bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
 
   /// A run product buffered during a window and merged at the barrier in
   /// (at, key) order. Keys repeat only within one dispatch of one node, so
@@ -140,7 +129,7 @@ class WindowedEngine {
   /// is frozen between barriers; everything it writes lives here or in
   /// per-node slots owned by the lane (RNGs, counters, cpu_free, ledgers).
   struct Lane {
-    DaryHeap<Event, 4, EventOrder> heap;
+    DaryHeap<Event, 4, EventEarlier> heap;
     EnvelopeStore store;
     Time now = 0;
     std::uint64_t cur_key = 0;       ///< key of the event being dispatched
@@ -156,29 +145,17 @@ class WindowedEngine {
     std::unordered_set<std::uint64_t> cpu_charged;
     /// Cross-lane sends buffered until the barrier, indexed by dest lane.
     std::vector<std::vector<Event>> outbox;
+    obs::ProfileBreakdown profile;  ///< merged into the run's at the end
   };
 
   [[nodiscard]] std::uint32_t lane_index(NodeId node) const noexcept {
     return node % lanes_n_;
   }
-  [[nodiscard]] Lane& lane(NodeId node) noexcept {
-    return *lanes_[lane_index(node)];
-  }
   [[nodiscard]] std::uint64_t draw_key(NodeId origin) noexcept {
     return ((static_cast<std::uint64_t>(origin) + 1) << kOriginShift) |
            wctr_[origin]++;
   }
-  [[nodiscard]] std::uint32_t make_env(std::uint32_t lane_id, PayloadPtr payload,
-                                       Time send_time, std::uint64_t base_id,
-                                       NodeId src, bool broadcast,
-                                       std::int32_t remaining);
-
-  [[nodiscard]] Time wcharge_cpu(NodeId node, Time cost) noexcept;
-  void wnetwork_send(NodeId src, NodeId dst, PayloadPtr payload, Time extra);
-  void wdeliver_self(NodeId id, PayloadPtr payload);
-  void route(std::uint32_t src_lane, Event ev, NodeId dst);
-  void wdispatch(Lane& ln, std::uint32_t lane_id, Event& ev);
-  void wdeliver_now(Lane& ln, const Message& msg);
+  void dispatch(LanePort& port, Event& ev);
   void run_window(std::uint32_t lane_id, Time w1, std::uint64_t event_cap);
   /// Applies fault transitions scheduled exactly at `w0`; returns false
   /// when the event budget was exhausted mid-application.
@@ -187,11 +164,16 @@ class WindowedEngine {
   /// controller's metrics/sink; returns false when the event budget is
   /// exhausted. Sets stopped_/termination on the completing decision.
   [[nodiscard]] bool merge_window();
+  /// Moves every lane's buffered products into one (at, key)-ordered list.
+  template <class Product>
+  [[nodiscard]] std::vector<Product> drain(std::vector<Product> Lane::*buffer);
 
   Controller& c_;
   std::uint32_t lanes_n_ = 1;
   Time lookahead_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  /// The nodes' contexts under this engine (the serial ones stay unused).
+  std::vector<Controller::NodeCtx<LanePort>> ctxs_;
   std::vector<Rng> net_rngs_;                   ///< per sending node
   std::vector<std::uint64_t> wctr_;             ///< per-origin key counters
   /// Per-node timer ledgers indexed by the timer key's counter bits
