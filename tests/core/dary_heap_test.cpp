@@ -152,5 +152,44 @@ TEST(DaryHeapProperty, InterleavedChurnMatchesReference) {
   }
 }
 
+// EventEarlier exposes the time as a primary key, which routes the child
+// select through the register-carried path (the one the engine runs).
+// Under heavy ties and negative times it must pop exactly what the plain
+// comparator path pops: the (time, seq) minimum.
+TEST(DaryHeapProperty, PrimaryKeySelectMatchesPlainComparator) {
+  struct Earlier {
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      if (a.at != b.at) return a.at < b.at;
+      return a.seq < b.seq;
+    }
+  };
+  for (const std::uint64_t seed : {3ULL, 11ULL, 2024ULL}) {
+    DaryHeap<Event, 4, EventEarlier> keyed;
+    DaryHeap<Event, 4, Earlier> plain;
+    std::mt19937_64 rng(seed);
+    std::uint64_t seq = 0;
+    for (int round = 0; round < 20'000; ++round) {
+      const int pushes = static_cast<int>(rng() % 3);
+      for (int i = 0; i < pushes; ++i) {
+        // 32 distinct timestamps straddling zero: ties everywhere.
+        const Time at = static_cast<Time>(rng() % 32) - 16;
+        keyed.push(Event{at, seq, TimerFire{}});
+        plain.push(Event{at, seq, TimerFire{}});
+        ++seq;
+      }
+      if (keyed.empty()) continue;
+      const Event a = keyed.pop();
+      const Event b = plain.pop();
+      ASSERT_EQ(a.at, b.at) << "seed " << seed << " round " << round;
+      ASSERT_EQ(a.seq, b.seq) << "seed " << seed << " round " << round;
+    }
+    while (!plain.empty()) {
+      ASSERT_FALSE(keyed.empty());
+      EXPECT_EQ(keyed.pop().seq, plain.pop().seq);
+    }
+    EXPECT_TRUE(keyed.empty());
+  }
+}
+
 }  // namespace
 }  // namespace bftsim
