@@ -21,6 +21,31 @@ TEST(EventQueueTest, StartsEmpty) {
   EXPECT_EQ(queue.total_scheduled(), 0u);
 }
 
+// The timeline's in-flight figure: queued deliveries, whichever way they
+// were pushed, and never a cancelled timer that already left the heap.
+TEST(EventQueueTest, MessageCountTracksQueuedDeliveries) {
+  EventQueue queue;
+  queue.push(10, MessageDelivery{1, 0});
+  queue.push(20, TimerFire{TimerOwner::kNode, 0, 7, 0});
+  queue.push(30, MessageDelivery{2, 1});
+  EXPECT_EQ(queue.message_count(), 2u);
+  EXPECT_TRUE(queue.cancel_timer(7));
+
+  Event first = queue.pop();  // the delivery at 10, pushed back as a body
+  EXPECT_EQ(queue.message_count(), 1u);
+  queue.push(40, std::move(first.body));
+  EXPECT_EQ(queue.message_count(), 2u);
+
+  const Event cancelled = queue.pop();  // the cancelled timer, undispatched
+  ASSERT_TRUE(std::holds_alternative<TimerFire>(cancelled.body));
+  EXPECT_EQ(queue.message_count(), 2u);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.pending_timer_count(), 0u);
+  (void)queue.pop();
+  (void)queue.pop();
+  EXPECT_EQ(queue.message_count(), 0u);
+}
+
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue queue;
   queue.push(30, timer(3));
