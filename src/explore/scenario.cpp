@@ -5,6 +5,7 @@
 #include "core/config_check.hpp"
 #include "core/rng.hpp"
 #include "crypto/hash.hpp"
+#include "explore/canary.hpp"
 #include "protocols/registry.hpp"
 
 namespace bftsim::explore {
@@ -116,7 +117,11 @@ void sample_faults(Rng& rng, SimConfig& cfg) {
 
 ScenarioSpace ScenarioSpace::defaults() {
   ScenarioSpace space;
-  space.protocols = ProtocolRegistry::instance().names();
+  // The canary joins the registry once anything registers it; the stock
+  // space must not depend on whether that happened earlier in the process.
+  for (std::string& name : ProtocolRegistry::instance().names()) {
+    if (name != kCanaryProtocol) space.protocols.push_back(std::move(name));
+  }
   return space;
 }
 

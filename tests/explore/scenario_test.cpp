@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/json.hpp"
@@ -46,6 +47,14 @@ TEST(ScenarioGeneration, IsDeterministicAndOrderIndependent) {
               forward[i])
         << "scenario " << i << " depends on generation order";
   }
+}
+
+TEST(ScenarioSpace, DefaultsLeaveOutTheCanaryOnceRegistered) {
+  const std::vector<std::string> before = ScenarioSpace::defaults().protocols;
+  register_fuzz_canary();
+  const std::vector<std::string> after = ScenarioSpace::defaults().protocols;
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(std::count(after.begin(), after.end(), kCanaryProtocol), 0);
 }
 
 TEST(ScenarioGeneration, DistinctCoordinatesGiveDistinctRuns) {
