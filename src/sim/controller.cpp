@@ -289,13 +289,13 @@ void Controller::intercept(const Outgoing& out, Message msg, Time delay) {
       in_flight.msg.src != original_src || in_flight.msg.dst != original_dst) {
     metrics_.on_attacker_modify();
   }
-  // Behind the attacker the copy enters the uplink at the send instant with
-  // the signing time inside its delay, and takes the link the attacker
-  // (possibly) rerouted it to.
+  // The attacker's delay covers signing and propagation. The copy enters
+  // the uplink once signed, as on the fast path, and takes the link the
+  // attacker (possibly) rerouted it to.
   SerialPort port{*this};
   Message& m = in_flight.msg;
-  Wired wired = wire(port, out, m.payload, m.src, m.dst, now_,
-                     std::max<Time>(in_flight.delay, 0));
+  Wired wired = wire(port, out, m.payload, m.src, m.dst, now_ + out.extra,
+                     std::max<Time>(in_flight.delay, 0) - out.extra);
   if (wired.corrupted) m.payload = std::move(wired.corrupted);
   schedule_network_delivery(std::move(m), wired.at - now_);
 }

@@ -409,6 +409,29 @@ TEST(WanSimTest, TightBandwidthDelaysLargeProposals) {
   EXPECT_GT(constrained.latency_ms(), unconstrained.latency_ms());
 }
 
+TEST(WanSimTest, NoOpAttackLeavesBandwidthRunsUnchanged) {
+  // A copy behind the attacker must enter the uplink when the fast path
+  // would (after signing), so an attack that touches nothing leaves the
+  // uplink queues, and with them the whole run, as they were.
+  SimConfig clean = experiment_config("pbft", 16, 1000,
+                                      DelaySpec::normal(50, 10));
+  clean.decisions = 10;
+  clean.seed = 1;
+  clean.cost.sign_ms = 1.0;
+  clean.net = WanSpec::from_json(
+      json::parse(R"({"uplink_mbps": 5, "downlink_mbps": 5})"));
+  SimConfig noop = clean;
+  noop.attack = "eclipse";
+  noop.attack_params = json::parse(R"({"victim": 2, "duration_ms": 0})");
+  const RunResult a = run_simulation(clean);
+  const RunResult b = run_simulation(noop);
+  ASSERT_TRUE(a.terminated);
+  EXPECT_EQ(b.events_processed, a.events_processed);
+  EXPECT_EQ(b.messages_sent, a.messages_sent);
+  EXPECT_EQ(b.decisions.size(), a.decisions.size());
+  EXPECT_EQ(b.termination_time, a.termination_time);
+}
+
 TEST(WanSimTest, GossipReachesEveryProtocolDecision) {
   for (const char* protocol :
        {"pbft", "hotstuff-ns", "librabft", "tendermint", "algorand"}) {
