@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/thread_pool.hpp"
+#include "explore/evaluate.hpp"
 #include "explore/shrink.hpp"
 #include "protocols/registry.hpp"
 #include "sim/simulation.hpp"
@@ -13,16 +14,6 @@
 namespace bftsim::adversary {
 
 namespace {
-
-/// One evaluated candidate: its lattice point and the run products needed
-/// to rank it and (for the incumbent) to seed the reproducer.
-struct Eval {
-  ParamVector pv;
-  DamageReport damage;
-  std::uint64_t attacked_fingerprint = 0;
-  std::uint64_t attacked_records = 0;
-  bool failed = false;
-};
 
 [[nodiscard]] SimConfig attacked_config(const SimConfig& base,
                                         const AttackSpace& space,
@@ -32,16 +23,6 @@ struct Eval {
   cfg.attack_params = params_of(space, pv);
   return cfg;
 }
-
-/// Products of the shrink predicate's accepted probe, captured on the side
-/// (shrink_config only tracks configs).
-struct AcceptedProbe {
-  DamageReport damage;
-  std::uint64_t attacked_fingerprint = 0;
-  std::uint64_t attacked_records = 0;
-  std::uint64_t baseline_fingerprint = 0;
-  std::uint64_t baseline_records = 0;
-};
 
 }  // namespace
 
@@ -106,6 +87,8 @@ std::string SearchReport::table() const {
 }
 
 SearchReport run_search(const SearchOptions& options) {
+  using explore::Evaluation;
+  using explore::ObjectiveKind;
   ThreadPool pool(options.jobs == 0 ? ThreadPool::default_workers()
                                     : options.jobs);
 
@@ -122,36 +105,30 @@ SearchReport run_search(const SearchOptions& options) {
     for (const AttackSpace& space : attack_spaces(protocol, base)) {
       const std::string cell = protocol + "/" + space.attack;
       std::set<ParamVector> seen;
-      Eval incumbent;
+      ParamVector incumbent_pv;
+      Evaluation incumbent;
       bool have_incumbent = false;
       std::uint64_t evaluations = 0;
 
-      // Evaluates a candidate batch on the pool; slots fold up in index
-      // order (strict > keeps the first maximum), so the incumbent is
-      // independent of scheduling.
+      // Evaluates the unseen candidates of a batch; strict > over the
+      // index-ordered slots keeps the first maximum.
       const auto run_batch = [&](const std::vector<ParamVector>& batch) {
         std::vector<ParamVector> fresh;
+        std::vector<SimConfig> configs;
         for (const ParamVector& pv : batch) {
-          if (seen.insert(pv).second) fresh.push_back(pv);
+          if (!seen.insert(pv).second) continue;
+          fresh.push_back(pv);
+          configs.push_back(attacked_config(base, space, pv));
         }
-        std::vector<Eval> slots(fresh.size());
-        parallel_for(pool, fresh.size(), [&](std::size_t i) {
-          slots[i].pv = fresh[i];
-          try {
-            const SimConfig cfg = attacked_config(base, space, fresh[i]);
-            const RunResult result = run_simulation(cfg);
-            slots[i].damage = compute_damage(cfg, baseline, result);
-            slots[i].attacked_fingerprint = result.trace_fingerprint;
-            slots[i].attacked_records = result.trace_records;
-          } catch (const std::exception&) {
-            slots[i].failed = true;
-          }
-        });
+        std::vector<Evaluation> slots = explore::evaluate_batch(
+            pool, configs, ObjectiveKind::kDamage, &baseline);
         evaluations += fresh.size();
-        for (Eval& slot : slots) {
-          if (slot.failed) continue;
-          if (!have_incumbent || slot.damage.score > incumbent.damage.score) {
-            incumbent = std::move(slot);
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+          if (!slots[i].error.empty()) continue;
+          if (!have_incumbent ||
+              slots[i].damage.score > incumbent.damage.score) {
+            incumbent = std::move(slots[i]);
+            incumbent_pv = fresh[i];
             have_incumbent = true;
           }
         }
@@ -167,7 +144,7 @@ SearchReport run_search(const SearchOptions& options) {
       run_batch(batch);
       for (std::uint64_t round = 1; round <= options.rounds; ++round) {
         if (!have_incumbent) break;
-        batch = neighbors(space, incumbent.pv);
+        batch = neighbors(space, incumbent_pv);
         for (std::uint64_t i = 0; i < options.grid / 2; ++i) {
           batch.push_back(draw_candidate(space, options.seed, round, i));
         }
@@ -182,71 +159,45 @@ SearchReport run_search(const SearchOptions& options) {
       WorstCase worst;
       worst.protocol = protocol;
       worst.attack = space.attack;
-      worst.params = params_of(space, incumbent.pv);
+      worst.params = params_of(space, incumbent_pv);
       worst.damage = incumbent.damage;
       worst.evaluations = evaluations;
 
       if (incumbent.damage.score > 0.0) {
         // Shrink the winning config while its score stays at least the
-        // winning score. Every probe recomputes its own baseline (shrink
+        // winning score. Every probe runs its own baseline (shrink
         // transformations change n / delay / horizon, so the shared one no
         // longer matches).
-        const SimConfig worst_cfg = attacked_config(base, space, incumbent.pv);
-        const double target = incumbent.damage.score;
-        AcceptedProbe accepted;
-        explore::ShrinkPolicy policy;
-        policy.keep_attack = true;
-        policy.skip_horizon = incumbent.damage.stalled;
-        policy.max_probes = options.shrink_runs;
-        const explore::ConfigShrink shrunk = explore::shrink_config(
-            worst_cfg,
-            [&](const SimConfig& candidate) {
-              const RunResult b = run_simulation(baseline_of(candidate));
-              const RunResult a = run_simulation(candidate);
-              const DamageReport d = compute_damage(candidate, b, a);
-              if (d.score < target) return false;
-              accepted = AcceptedProbe{d, a.trace_fingerprint, a.trace_records,
-                                       b.trace_fingerprint, b.trace_records};
-              return true;
-            },
-            policy);
+        const explore::Objective objective =
+            explore::Objective::damage(incumbent.damage.score);
+        explore::Shrunk shrunk = explore::shrink(
+            attacked_config(base, space, incumbent_pv), std::move(incumbent),
+            objective, options.shrink_runs);
 
-        AdvReproducer repro;
+        explore::Reproducer repro;
+        repro.kind = ObjectiveKind::kDamage;
         repro.id = "advsearch-" + std::to_string(options.seed) + "/" + cell;
-        repro.search_seed = options.seed;
-        repro.protocol = protocol;
-        repro.attack = space.attack;
-        repro.config = shrunk.config;
+        repro.seed = options.seed;
+        repro.config = std::move(shrunk.config);
+        repro.recorded = std::move(shrunk.eval);
         repro.shrink_steps = shrunk.steps;
-        repro.shrink_runs = shrunk.probes * 2;  // two simulations per probe
-        if (shrunk.steps > 0) {
-          repro.damage = accepted.damage;
-          repro.attacked_fingerprint = accepted.attacked_fingerprint;
-          repro.attacked_records = accepted.attacked_records;
-          repro.baseline_fingerprint = accepted.baseline_fingerprint;
-          repro.baseline_records = accepted.baseline_records;
-        } else {
-          repro.damage = incumbent.damage;
-          repro.attacked_fingerprint = incumbent.attacked_fingerprint;
-          repro.attacked_records = incumbent.attacked_records;
-          repro.baseline_fingerprint = baseline.trace_fingerprint;
-          repro.baseline_records = baseline.trace_records;
-        }
+        repro.shrink_runs = shrunk.runs;
 
-        // The gate the issue demands: a worst case only counts when its
-        // reproducer replays with the exact recorded score. Anything else
-        // means a determinism bug and must be surfaced, not tabulated.
-        const AdvReplayOutcome replay = replay_adv_reproducer(repro);
+        // A worst case only counts when its reproducer replays with the
+        // exact recorded score. Anything else means a determinism bug and
+        // must be surfaced, not tabulated.
+        const explore::ReplayOutcome replay = explore::replay_reproducer(repro);
         if (!replay.ok()) {
           report.refused.push_back(
               cell + ": reproducer replay diverged (score " +
-              json::Value{replay.damage.score}.dump() + " vs recorded " +
-              json::Value{repro.damage.score}.dump() + ")");
+              json::Value{replay.replayed.damage.score}.dump() +
+              " vs recorded " +
+              json::Value{repro.recorded.damage.score}.dump() + ")");
           continue;
         }
 
         worst.params = repro.config.attack_params;
-        worst.damage = repro.damage;
+        worst.damage = repro.recorded.damage;
         worst.has_reproducer = true;
         worst.reproducer = std::move(repro);
       }

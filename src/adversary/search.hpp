@@ -3,18 +3,19 @@
 // For every (protocol, attack space) cell the search runs a seeded grid of
 // candidate strategies followed by iterated local search around the
 // incumbent (neighbors on the parameter lattice plus fresh seeded draws),
-// scores each candidate with the damage objectives against the protocol's
-// attack-free baseline run, shrinks the per-cell worst case through the
-// ddmin core into a replayable reproducer, and replays that reproducer
-// before counting it: any cell whose replay does not reproduce the damage
-// score bit-exactly is refused and excluded from the table.
+// evaluates each candidate under the damage objective (explore/evaluate.hpp)
+// against the protocol's attack-free baseline run, shrinks the per-cell
+// worst case into a replayable reproducer (explore/shrink.hpp), and replays
+// that reproducer before counting it: any cell whose replay does not
+// reproduce the damage score bit-exactly is refused and excluded from the
+// table.
 //
 // Determinism contract: the whole SearchReport — candidates, scores,
 // incumbents, shrunk configs, fingerprints, ranking — is a pure function
-// of (options minus jobs). Candidate batches fan out across a thread pool
-// but land in per-index slots and fold up in index order (first maximum
-// wins ties), cells run sequentially, and shrinking is serial, so reports
-// are byte-identical for every `jobs` value.
+// of (options minus jobs). Candidate batches fan out through
+// evaluate_batch and fold up in index order (first maximum wins ties),
+// cells run sequentially, and shrinking is serial, so reports are
+// byte-identical for every `jobs` value.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,9 @@
 #include <vector>
 
 #include "adversary/damage.hpp"
-#include "adversary/reproducer.hpp"
 #include "adversary/space.hpp"
 #include "core/json.hpp"
+#include "explore/reproducer.hpp"
 #include "runner/runner.hpp"
 
 namespace bftsim::adversary {
@@ -43,7 +44,9 @@ struct SearchOptions {
   /// Budget cap baked into every config BEFORE running, so reproducers are
   /// self-contained (same contract as the fuzzer's campaign watchdog).
   Watchdog watchdog{/*max_events=*/200'000, /*max_time_ms=*/60'000.0};
-  std::size_t shrink_runs = 60;     ///< shrink probe budget per worst case
+  /// Shrink budget per worst case, in candidate evaluations (see
+  /// explore/shrink.hpp).
+  std::size_t shrink_runs = 60;
 };
 
 /// The worst strategy found for one (protocol, attack) cell.
@@ -54,7 +57,7 @@ struct WorstCase {
   DamageReport damage;           ///< damage of the (shrunk) worst case
   std::uint64_t evaluations = 0; ///< candidate evaluations spent on the cell
   bool has_reproducer = false;   ///< false when the cell's best score is 0
-  AdvReproducer reproducer;      ///< replayable worst case (when nonzero)
+  explore::Reproducer reproducer;  ///< replayable worst case (when nonzero)
 };
 
 /// Full outcome of one search.

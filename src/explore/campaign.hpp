@@ -1,17 +1,18 @@
 // The fuzzing campaign engine.
 //
 // A campaign is `scenario_count` scenarios drawn from a ScenarioSpace by
-// generate_scenario(space, seed, i), each executed once and checked
-// against the invariant oracles. Violations are shrunk (serially, in
-// scenario order) into replayable reproducers; runs that throw become
-// labeled RunFailure records instead of aborting the campaign.
+// generate_scenario(space, seed, i), evaluated under the verdict objective
+// (evaluate.hpp): each executed once and checked against the invariant
+// oracles. Violations are shrunk (serially, in scenario order) into
+// replayable reproducers; runs that throw become labeled RunFailure
+// records instead of aborting the campaign.
 //
 // Determinism contract: the whole CampaignReport — which scenarios exist,
 // which violate, what each shrinks to, every fingerprint — is a pure
 // function of (space, seed, scenario_count, watchdog, shrink budget).
-// Scenarios fan out across a thread pool but land in per-index slots and
-// are aggregated in index order, so the report is identical for every
-// `jobs` value, and contains no wall-clock or host-dependent data.
+// Scenarios fan out through evaluate_batch and are aggregated in index
+// order, so the report is identical for every `jobs` value, and contains
+// no wall-clock or host-dependent data.
 #pragma once
 
 #include <cstdint>
@@ -22,12 +23,17 @@
 #include "explore/oracles.hpp"
 #include "explore/reproducer.hpp"
 #include "explore/scenario.hpp"
-#include "explore/shrink.hpp"
 #include "runner/runner.hpp"
 
 namespace bftsim::explore {
 
 struct CampaignOptions {
+  /// Bounds from_json enforces; the search tools' number flags share them.
+  static constexpr std::uint64_t kMaxScenarios = 1'000'000;
+  static constexpr std::uint64_t kMaxShrinkRuns = 100'000;
+  static constexpr std::uint64_t kEventBudgetMin = 10'000;
+  static constexpr std::uint64_t kEventBudgetMax = 1'000'000'000;
+
   ScenarioSpace space = ScenarioSpace::defaults();
   std::uint64_t seed = 1;            ///< campaign seed (not a run seed)
   std::uint64_t scenario_count = 100;
@@ -36,7 +42,8 @@ struct CampaignOptions {
   /// reproducers are self-contained (replaying one needs no campaign
   /// context to terminate the same way).
   Watchdog watchdog{/*max_events=*/2'000'000, /*max_time_ms=*/0.0};
-  ShrinkOptions shrink;              ///< per-finding shrink budget
+  /// Per-finding shrink budget, in simulations (see shrink.hpp).
+  std::size_t shrink_runs = 200;
 
   /// Parses the optional "$.explore" clause of a config file (strict;
   /// unknown keys throw). Recognized keys: "space" (ScenarioSpace),

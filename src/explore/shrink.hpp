@@ -1,90 +1,47 @@
-// Counterexample shrinking (delta debugging over SimConfig).
+// Shrinking (delta debugging over SimConfig), for both objectives.
 //
-// Given a config whose run violates an oracle, the shrinker repeatedly
-// tries simpler variants — drop a fault window, shrink n, flatten the
-// delay distribution to a constant, reduce the decision target, shorten
-// the attack, halve the horizon — re-running each candidate
-// deterministically and keeping it only when the SAME oracle still fires.
-// Candidates are generated in a fixed order and the loop restarts from the
-// first transformation after every acceptance (classic ddmin structure),
-// so the result is a deterministic function of the input config alone.
+// Given a config that meets an objective, the shrinker repeatedly tries
+// simpler variants — drop the attack, drop a fault window, shrink n,
+// flatten the delay distribution to a constant, reduce the decision
+// target, shorten a partition, halve the horizon — evaluating each
+// candidate deterministically and keeping it only when the objective still
+// holds. Candidates are generated in a fixed order and the loop restarts
+// from the first transformation after every acceptance (classic ddmin
+// structure), so the result is a deterministic function of the input.
 //
-// The horizon-halving transformation is skipped when shrinking liveness
-// violations: "still times out with half the time" is trivially true and
-// would shrink every liveness counterexample into an uninteresting
-// microscopic horizon.
+// Two transformations depend on the objective and its verdict:
+//  * the damage objective never drops the attack: it shrinks an attack
+//    strategy, and removing it is the one change that must not be on the
+//    table;
+//  * horizon halving is skipped for liveness-style results (a liveness
+//    violation, or a stalled attacked run): "still fails with less time"
+//    is trivially true and would shrink every such case into a microscopic
+//    horizon.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 #include "core/config.hpp"
-#include "explore/oracles.hpp"
-#include "sim/result.hpp"
+#include "explore/evaluate.hpp"
 
 namespace bftsim::explore {
 
-struct ShrinkOptions {
-  /// Cap on simulations the shrinker may execute (the acceptance test is
-  /// one run per candidate). The loop stops at the cap and reports the
-  /// best config found so far.
-  std::size_t max_runs = 200;
-};
-
-/// Knobs for the generic predicate-driven ddmin core below.
-struct ShrinkPolicy {
-  /// Never propose dropping the attack. The adversary search shrinks
-  /// *damage-maximizing* attack configs, where removing the attack is the
-  /// one transformation that must not be on the table.
-  bool keep_attack = false;
-  /// Skip the horizon-halving transformation ("still fails with less
-  /// time" is trivially true for liveness-style properties and would
-  /// shrink every such case into a microscopic horizon).
-  bool skip_horizon = false;
-  /// Cap on predicate evaluations.
-  std::size_t max_probes = 200;
-};
-
-/// Outcome of the generic core: the smallest config the budget allowed for
-/// which the predicate still held.
-struct ConfigShrink {
+/// The smallest config the budget allowed for which the objective held.
+struct Shrunk {
   SimConfig config;
+  Evaluation eval;         ///< evaluation of `config`
   std::size_t steps = 0;   ///< accepted transformations
-  std::size_t probes = 0;  ///< predicate evaluations (incl. throwing ones)
+  std::size_t runs = 0;    ///< simulations charged to the shrink
 };
 
-/// The ddmin core shared by shrink_scenario and the adversary search:
-/// repeatedly proposes simpler variants of `start` in a fixed order,
-/// accepts a candidate when `interesting(candidate)` returns true, and
-/// restarts from the most simplifying transformation after every
-/// acceptance. The predicate decides what "still interesting" means (same
-/// oracle fires, damage score maintained, ...); a predicate that throws
-/// rejects its candidate but still consumes a probe. Candidates that fail
-/// SimConfig::validate() are skipped for free. `start` itself is never
-/// probed — the caller establishes that it is interesting.
-[[nodiscard]] ConfigShrink shrink_config(
-    const SimConfig& start,
-    const std::function<bool(const SimConfig&)>& interesting,
-    const ShrinkPolicy& policy);
-
-/// Outcome of shrinking one failing config.
-struct ShrinkResult {
-  SimConfig config;      ///< smallest violating config found
-  OracleReport report;   ///< verdict of `config`'s run (same oracle kind)
-  std::uint64_t trace_fingerprint = 0;  ///< fingerprint of `config`'s run
-  std::uint64_t trace_records = 0;
-  std::size_t steps = 0;  ///< accepted transformations
-  std::size_t runs = 0;   ///< simulations executed
-};
-
-/// Shrinks `failing` (whose run must violate `expected`) and returns the
-/// smallest config the budget allowed that still violates `expected`.
-/// Deterministic: same input -> same transformation sequence -> same
-/// result. The input config is re-run once up front to record the
-/// reference verdict; if it does not violate `expected`, throws
-/// std::invalid_argument.
-[[nodiscard]] ShrinkResult shrink_scenario(const SimConfig& failing,
-                                           Oracle expected,
-                                           const ShrinkOptions& options = {});
+/// Shrinks `start`, whose evaluation `start_eval` must meet `objective`
+/// (std::invalid_argument otherwise), within `budget`. A verdict shrink's
+/// budget counts simulations including the run that established
+/// `start_eval`; a damage shrink's counts candidate evaluations, two
+/// simulations each, and `runs` reports those simulations. A candidate
+/// that fails SimConfig::validate() is skipped for free; one whose run
+/// throws is rejected but still spends budget. Never mutates `start`.
+[[nodiscard]] Shrunk shrink(const SimConfig& start, Evaluation start_eval,
+                            const Objective& objective, std::size_t budget);
 
 }  // namespace bftsim::explore

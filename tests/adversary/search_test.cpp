@@ -60,14 +60,14 @@ TEST(SearchTest, ReproducersSurviveAJsonRoundTrip) {
   }
   ASSERT_NE(top, nullptr);
   const std::string dumped = top->reproducer.to_json().dump(2);
-  const AdvReproducer back =
-      AdvReproducer::from_json(json::parse(dumped), "$.roundtrip");
+  const explore::Reproducer back =
+      explore::Reproducer::from_json(json::parse(dumped), "$.roundtrip");
   EXPECT_EQ(back.id, top->reproducer.id);
-  EXPECT_EQ(back.damage.score, top->reproducer.damage.score);
-  const AdvReplayOutcome outcome = replay_adv_reproducer(back);
+  EXPECT_EQ(back.recorded.damage.score, top->reproducer.recorded.damage.score);
+  const explore::ReplayOutcome outcome = explore::replay_reproducer(back);
   EXPECT_TRUE(outcome.ok())
-      << "score " << outcome.damage.score << " vs recorded "
-      << back.damage.score;
+      << "score " << outcome.replayed.damage.score << " vs recorded "
+      << back.recorded.damage.score;
 }
 
 TEST(SearchTest, BaseConfigHonorsTheSyncModelAndWatchdog) {

@@ -29,14 +29,14 @@ TEST(Campaign, CanaryCampaignFindsAndShrinksThePlantedBug) {
   EXPECT_EQ(report.findings[1].index, 5u);
 
   for (const CampaignFinding& finding : report.findings) {
-    EXPECT_EQ(finding.reproducer.oracle, Oracle::kCertificate);
+    EXPECT_EQ(finding.reproducer.oracle(), Oracle::kCertificate);
     EXPECT_GT(finding.reproducer.shrink_steps, 0u);
-    EXPECT_FALSE(finding.reproducer.diagnosis.empty());
+    EXPECT_FALSE(finding.reproducer.recorded.verdict.diagnosis.empty());
     // Every reproducer a campaign emits replays bit-identically.
     const ReplayOutcome outcome = replay_reproducer(finding.reproducer);
     EXPECT_TRUE(outcome.ok())
-        << finding.reproducer.scenario_id << ": "
-        << outcome.report.to_string();
+        << finding.reproducer.id << ": "
+        << outcome.replayed.verdict.to_string();
   }
 }
 
@@ -82,7 +82,7 @@ TEST(CampaignOptions, FromJsonParsesTheExploreClause) {
   EXPECT_EQ(options.seed, 9u);
   EXPECT_EQ(options.scenario_count, 25u);
   EXPECT_EQ(options.watchdog.max_events, 50'000u);
-  EXPECT_EQ(options.shrink.max_runs, 12u);
+  EXPECT_EQ(options.shrink_runs, 12u);
   ASSERT_EQ(options.space.protocols.size(), 1u);
   EXPECT_EQ(options.space.protocols[0], "pbft");
   EXPECT_DOUBLE_EQ(options.space.attack_rate, 0.1);

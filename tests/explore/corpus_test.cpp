@@ -33,15 +33,17 @@ TEST(FuzzCorpus, EveryReproducerReplaysExactly) {
   ASSERT_FALSE(files.empty()) << "fuzz corpus is missing";
   for (const std::string& file : files) {
     const Reproducer repro = Reproducer::from_file(file);
+    EXPECT_EQ(repro.kind, ObjectiveKind::kVerdict) << file;
     const ReplayOutcome outcome = replay_reproducer(repro);
     EXPECT_TRUE(outcome.verdict_matches)
-        << file << ": expected " << to_string(repro.oracle)
-        << ", got " << outcome.report.to_string();
+        << file << ": expected " << to_string(repro.oracle())
+        << ", got " << outcome.replayed.verdict.to_string();
     EXPECT_TRUE(outcome.fingerprint_matches)
         << file << ": fingerprint/record-count drift ("
-        << outcome.trace_fingerprint << "/" << outcome.trace_records
-        << " vs recorded " << repro.trace_fingerprint << "/"
-        << repro.trace_records << ")";
+        << outcome.replayed.trace.fingerprint << "/"
+        << outcome.replayed.trace.records << " vs recorded "
+        << repro.recorded.trace.fingerprint << "/"
+        << repro.recorded.trace.records << ")";
   }
 }
 
@@ -51,7 +53,7 @@ TEST(FuzzCorpus, CoversBothSafetyOracleKinds) {
   // tested from checked-in data.
   std::set<Oracle> seen;
   for (const std::string& file : corpus_files()) {
-    seen.insert(Reproducer::from_file(file).oracle);
+    seen.insert(Reproducer::from_file(file).oracle());
   }
   EXPECT_TRUE(seen.count(Oracle::kAgreement));
   EXPECT_TRUE(seen.count(Oracle::kCertificate));

@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include <utility>
+
 #include "explore/canary.hpp"
 #include "explore/scenario.hpp"
 #include "explore/shrink.hpp"
@@ -23,17 +25,15 @@ Reproducer make_reproducer() {
   register_fuzz_canary();
   const Scenario scenario = generate_scenario(ScenarioSpace::canary(), 1, 3);
   const Watchdog watchdog{2'000'000, 0.0};
-  const ShrinkResult shrunk = shrink_scenario(watchdog.apply(scenario.config),
-                                              Oracle::kCertificate);
+  const SimConfig failing = watchdog.apply(scenario.config);
+  Shrunk shrunk = shrink(failing, evaluate(failing, ObjectiveKind::kVerdict),
+                         Objective::verdict(Oracle::kCertificate), 200);
   Reproducer repro;
-  repro.scenario_id = scenario.id();
-  repro.campaign_seed = scenario.campaign_seed;
+  repro.id = scenario.id();
+  repro.seed = scenario.campaign_seed;
   repro.index = scenario.index;
-  repro.oracle = shrunk.report.violated;
-  repro.diagnosis = shrunk.report.diagnosis;
-  repro.config = shrunk.config;
-  repro.trace_fingerprint = shrunk.trace_fingerprint;
-  repro.trace_records = shrunk.trace_records;
+  repro.config = std::move(shrunk.config);
+  repro.recorded = std::move(shrunk.eval);
   repro.shrink_steps = shrunk.steps;
   repro.shrink_runs = shrunk.runs;
   return repro;
@@ -43,9 +43,10 @@ TEST(Reproducer, JsonRoundTripsExactly) {
   const Reproducer repro = make_reproducer();
   const Reproducer back = Reproducer::from_json(repro.to_json());
   EXPECT_EQ(back.to_json().dump(2), repro.to_json().dump(2));
-  EXPECT_EQ(back.scenario_id, repro.scenario_id);
-  EXPECT_EQ(back.oracle, repro.oracle);
-  EXPECT_EQ(back.trace_fingerprint, repro.trace_fingerprint);
+  EXPECT_EQ(back.kind, ObjectiveKind::kVerdict);
+  EXPECT_EQ(back.id, repro.id);
+  EXPECT_EQ(back.oracle(), repro.oracle());
+  EXPECT_EQ(back.recorded.trace, repro.recorded.trace);
   EXPECT_EQ(back.config.seed, repro.config.seed);
   EXPECT_EQ(back.config.to_json().dump(), repro.config.to_json().dump());
 }
@@ -61,15 +62,17 @@ TEST(Reproducer, SaveAndLoadThroughAFile) {
 TEST(Reproducer, ReplayMatchesVerdictAndFingerprint) {
   const Reproducer repro = make_reproducer();
   const ReplayOutcome outcome = replay_reproducer(repro);
-  EXPECT_TRUE(outcome.verdict_matches) << outcome.report.to_string();
+  EXPECT_TRUE(outcome.verdict_matches)
+      << outcome.replayed.verdict.to_string();
   EXPECT_TRUE(outcome.fingerprint_matches)
-      << outcome.trace_fingerprint << " != " << repro.trace_fingerprint;
+      << outcome.replayed.trace.fingerprint
+      << " != " << repro.recorded.trace.fingerprint;
   EXPECT_TRUE(outcome.ok());
 }
 
 TEST(Reproducer, ReplayDetectsAForgedFingerprint) {
   Reproducer repro = make_reproducer();
-  repro.trace_fingerprint ^= 1;  // a single-bit divergence must be caught
+  repro.recorded.trace.fingerprint ^= 1;  // a single-bit divergence
   const ReplayOutcome outcome = replay_reproducer(repro);
   EXPECT_TRUE(outcome.verdict_matches);
   EXPECT_FALSE(outcome.fingerprint_matches);
@@ -78,7 +81,7 @@ TEST(Reproducer, ReplayDetectsAForgedFingerprint) {
 
 TEST(Reproducer, ReplayDetectsAForgedVerdict) {
   Reproducer repro = make_reproducer();
-  repro.oracle = Oracle::kAgreement;  // recorded certificate violation
+  repro.recorded.verdict.violated = Oracle::kAgreement;  // was certificate
   const ReplayOutcome outcome = replay_reproducer(repro);
   EXPECT_FALSE(outcome.verdict_matches);
   EXPECT_FALSE(outcome.ok());

@@ -1,7 +1,5 @@
 // Deterministic fuzzing campaign driver.
 //
-// Three modes:
-//
 //   fuzz [--seed S] [--scenarios N] [--jobs J] [--canary]
 //        [--config FILE] [--out FILE] [--repro-dir DIR]
 //     Runs a campaign: N scenarios drawn from the default space (every
@@ -14,151 +12,52 @@
 //     campaign is clean, 1 when it found violations or crashes.
 //
 //   fuzz --replay FILE...
-//     Replays reproducer files: re-runs each recorded config and checks
-//     that the recorded oracle fires again AND the trace fingerprint is
-//     bit-identical. Exit 0 only when every file replays exactly.
-//
 //   fuzz --replay-dir DIR
-//     Replays every *.json under DIR (the fuzz-corpus regression mode).
+//     Replays reproducers (the fuzz-corpus regression mode); shared with
+//     tools/advsearch, see src/explore/cli.hpp.
 //
 // The campaign report is deterministic: same seed and scenario count give
 // byte-identical --out files for any --jobs value. See docs/FUZZING.md.
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
-#include <filesystem>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "core/json.hpp"
 #include "explore/campaign.hpp"
-#include "explore/canary.hpp"
-#include "explore/reproducer.hpp"
-#include "runner/export.hpp"
-
-namespace {
-
-using namespace bftsim;
-using namespace bftsim::explore;
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--seed S] [--scenarios N] [--jobs J] [--canary]\n"
-      "          [--config FILE] [--out FILE] [--repro-dir DIR]\n"
-      "       %s --replay FILE...\n"
-      "       %s --replay-dir DIR\n",
-      argv0, argv0, argv0);
-  std::exit(2);
-}
-
-int replay_files(const std::vector<std::string>& files) {
-  int bad = 0;
-  for (const std::string& file : files) {
-    try {
-      const Reproducer repro = Reproducer::from_file(file);
-      const ReplayOutcome outcome = replay_reproducer(repro);
-      if (outcome.ok()) {
-        std::fprintf(stderr, "OK   %s: %s reproduces, fingerprint %s\n",
-                     file.c_str(), std::string(to_string(repro.oracle)).c_str(),
-                     fingerprint_to_hex(outcome.trace_fingerprint).c_str());
-        continue;
-      }
-      ++bad;
-      if (!outcome.verdict_matches) {
-        std::fprintf(stderr, "FAIL %s: expected %s violation, got %s\n",
-                     file.c_str(), std::string(to_string(repro.oracle)).c_str(),
-                     outcome.report.to_string().c_str());
-      }
-      if (!outcome.fingerprint_matches) {
-        std::fprintf(stderr,
-                     "FAIL %s: trace fingerprint %s (%llu records), recorded "
-                     "%s (%llu records)\n",
-                     file.c_str(),
-                     fingerprint_to_hex(outcome.trace_fingerprint).c_str(),
-                     static_cast<unsigned long long>(outcome.trace_records),
-                     fingerprint_to_hex(repro.trace_fingerprint).c_str(),
-                     static_cast<unsigned long long>(repro.trace_records));
-      }
-    } catch (const std::exception& e) {
-      ++bad;
-      std::fprintf(stderr, "FAIL %s: %s\n", file.c_str(), e.what());
-    }
-  }
-  std::fprintf(stderr, "replayed %zu reproducer(s), %d failure(s)\n",
-               files.size(), bad);
-  return bad == 0 ? 0 : 1;
-}
-
-}  // namespace
+#include "explore/cli.hpp"
 
 int main(int argc, char** argv) {
-  CampaignOptions options;
-  options.scenario_count = 0;  // 0 = not set on the command line
-  std::uint64_t seed = 0;
-  bool seed_set = false;
+  using namespace bftsim;
+  using namespace bftsim::explore;
+
+  std::optional<std::uint64_t> seed;
+  std::optional<std::uint64_t> scenarios;
+  std::size_t jobs = 0;
   bool canary = false;
   std::string config_path;
-  std::string out_path;
-  std::string repro_dir;
-  std::vector<std::string> replay_list;
-  std::string replay_dir;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
-      seed_set = true;
-    } else if (arg == "--scenarios") {
-      options.scenario_count = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--jobs") {
-      options.jobs = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--canary") {
+  cli::Tool tool;
+  tool.name = "fuzz";
+  tool.synopsis =
+      "[--seed S] [--scenarios N] [--jobs J] [--canary]\n"
+      "          [--config FILE] [--out FILE] [--repro-dir DIR]\n";
+  tool.flag = [&](cli::Args& args) {
+    if (args.is("--seed")) {
+      seed = args.count(0, kMaxSeed);
+    } else if (args.is("--scenarios")) {
+      scenarios = args.count(1, CampaignOptions::kMaxScenarios);
+    } else if (args.is("--jobs")) {
+      jobs = static_cast<std::size_t>(args.count(0, cli::kMaxJobs));
+    } else if (args.is("--canary")) {
       canary = true;
-    } else if (arg == "--config") {
-      config_path = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--repro-dir") {
-      repro_dir = next();
-    } else if (arg == "--replay") {
-      while (i + 1 < argc && argv[i + 1][0] != '-') replay_list.push_back(argv[++i]);
-      if (replay_list.empty()) usage(argv[0]);
-    } else if (arg == "--replay-dir") {
-      replay_dir = next();
+    } else if (args.is("--config")) {
+      config_path = args.value();
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(argv[0]);
+      args.unknown();
     }
-  }
-
-  if (!replay_dir.empty()) {
-    std::error_code ec;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(replay_dir, ec)) {
-      if (entry.path().extension() == ".json") {
-        replay_list.push_back(entry.path().string());
-      }
-    }
-    if (ec) {
-      std::fprintf(stderr, "%s: %s\n", replay_dir.c_str(), ec.message().c_str());
-      return 2;
-    }
-    if (replay_list.empty()) {
-      std::fprintf(stderr, "%s: no reproducer files\n", replay_dir.c_str());
-      return 2;
-    }
-    std::sort(replay_list.begin(), replay_list.end());
-  }
-  if (!replay_list.empty()) return replay_files(replay_list);
-
-  try {
+  };
+  tool.run = [&](const cli::Args& args) {
+    CampaignOptions options;
     if (!config_path.empty()) {
       const json::Value doc = json::parse_file(config_path);
       const json::Value* clause = doc.as_object().find("explore");
@@ -166,15 +65,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s: no \"explore\" clause\n", config_path.c_str());
         return 2;
       }
-      const std::uint64_t count_override = options.scenario_count;
-      const std::size_t jobs_override = options.jobs;
       options = CampaignOptions::from_json(*clause, "$.explore");
-      if (count_override != 0) options.scenario_count = count_override;
-      options.jobs = jobs_override;
     }
     if (canary) options.space = ScenarioSpace::canary();
-    if (seed_set) options.seed = seed;
-    if (options.scenario_count == 0) options.scenario_count = 100;
+    if (seed) options.seed = *seed;
+    if (scenarios) options.scenario_count = *scenarios;
+    options.jobs = jobs;
 
     const CampaignReport report = run_campaign(options);
 
@@ -188,18 +84,13 @@ int main(int argc, char** argv) {
                  report.tally.event_budget, report.tally.queue_drained,
                  report.tally.failed, report.findings.size());
     for (const CampaignFinding& finding : report.findings) {
+      const Reproducer& repro = finding.reproducer;
       std::fprintf(stderr, "FINDING %s: %s (shrunk in %zu steps / %zu runs)\n",
-                   finding.reproducer.scenario_id.c_str(),
-                   finding.reproducer.diagnosis.c_str(),
-                   finding.reproducer.shrink_steps,
-                   finding.reproducer.shrink_runs);
-      if (!repro_dir.empty()) {
-        std::filesystem::create_directories(repro_dir);
-        std::string name = finding.reproducer.scenario_id;
-        std::replace(name.begin(), name.end(), '/', '-');
-        const std::string file = repro_dir + "/" + name + ".json";
-        finding.reproducer.save(file);
-        std::fprintf(stderr, "  reproducer written to %s\n", file.c_str());
+                   repro.id.c_str(), repro.recorded.verdict.diagnosis.c_str(),
+                   repro.shrink_steps, repro.shrink_runs);
+      if (!args.repro_dir.empty()) {
+        std::fprintf(stderr, "  reproducer written to %s\n",
+                     cli::write_reproducer(args.repro_dir, repro).c_str());
       }
     }
     for (const RunFailure& crash : report.crashes) {
@@ -208,15 +99,12 @@ int main(int argc, char** argv) {
     }
 
     const json::Value doc = report.to_json();
-    if (out_path.empty()) {
+    if (args.out.empty()) {
       std::printf("%s\n", doc.dump(2).c_str());
     } else {
-      write_json_file(out_path, doc);
-      std::fprintf(stderr, "report written to %s\n", out_path.c_str());
+      cli::write_report(args.out, doc);
     }
     return report.clean() ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fuzz: %s\n", e.what());
-    return 2;
-  }
+  };
+  return cli::run(argc, argv, tool);
 }
