@@ -360,7 +360,7 @@ json::Value measure_attacker_hook(std::size_t repeats) {
 
   cfg.attack = "delay-schedule";
   json::Object params;
-  params["type"] = "bench/none";  // matches no payload type: a no-op hook
+  params["type"] = "hotstuff/vote";  // pbft never sends it: a no-op hook
   cfg.attack_params = json::Value{std::move(params)};
   (void)run_repeated(cfg, 2);
   const auto hooked_start = std::chrono::steady_clock::now();

@@ -25,13 +25,13 @@ namespace {
 
 using namespace bftsim;
 
-// Custom payloads pick dispatch tags at or above kUserBase; registering a
-// name next to the protocol keeps per-type metrics readable.
+// Custom payloads pick dispatch tags at or above kUserBase, and each tag
+// gets a name registered next to the protocol (register_extensions below):
+// traces record the name, and trace readers map it back to the tag.
 struct GossipValue final : Payload {
   static constexpr PayloadType kType = PayloadType::kUserBase;
   Value value;
   explicit GossipValue(Value v) : Payload(kType), value(v) {}
-  std::string_view type() const noexcept override { return "gossip/value"; }
   std::uint64_t digest() const noexcept override { return hash_words({value}); }
 };
 
@@ -40,7 +40,6 @@ struct GossipConfirm final : Payload {
       static_cast<PayloadType>(to_index(PayloadType::kUserBase) + 1);
   Value value;
   explicit GossipConfirm(Value v) : Payload(kType), value(v) {}
-  std::string_view type() const noexcept override { return "gossip/confirm"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({value, 0xC0ULL});
   }

@@ -3,6 +3,7 @@
 #include "core/rng.hpp"
 #include "crypto/hash.hpp"
 #include "explore/scenario.hpp"
+#include "net/payload_type.hpp"
 #include "protocols/registry.hpp"
 
 namespace bftsim::adversary {
@@ -19,27 +20,29 @@ using explore::quantize_eighth_ms;
   return ParamAxis{"mode", {json::Value{std::string(a)}, json::Value{std::string(b)}}};
 }
 
-/// The message types worth re-timing per protocol: the proposal that
+/// The message kinds worth re-timing per protocol: the proposal that
 /// drives progress and the votes that form certificates.
-[[nodiscard]] std::vector<std::string> delay_targets(
+[[nodiscard]] std::vector<PayloadType> delay_targets(
     const std::string& protocol) {
+  using enum PayloadType;
   if (protocol == "pbft" || protocol == "pbft-canary") {
-    return {"pbft/pre-prepare", "pbft/prepare", "pbft/commit"};
+    return {kPbftPrePrepare, kPbftPrepare, kPbftCommit};
   }
   if (protocol == "hotstuff-ns" || protocol == "librabft") {
-    return {"hotstuff/proposal", "hotstuff/vote"};
+    return {kHotStuffProposal, kHotStuffVote};
   }
-  if (protocol == "sync-hotstuff") return {"sync-hs/proposal", "sync-hs/vote"};
+  if (protocol == "sync-hotstuff") {
+    return {kSyncHotStuffProposal, kSyncHotStuffVote};
+  }
   if (protocol == "tendermint") {
-    return {"tendermint/proposal", "tendermint/prevote",
-            "tendermint/precommit"};
+    return {kTendermintProposal, kTendermintPrevote, kTendermintPrecommit};
   }
   if (protocol == "algorand") {
-    return {"algorand/proposal", "algorand/soft-vote", "algorand/cert-vote"};
+    return {kAlgorandProposal, kAlgorandSoftVote, kAlgorandCertVote};
   }
-  if (protocol == "asyncba") return {"asyncba/init", "asyncba/echo"};
+  if (protocol == "asyncba") return {kBrachaInit, kBrachaEcho};
   if (protocol == "addv1" || protocol == "addv2" || protocol == "addv3") {
-    return {"add/propose", "add/vote"};
+    return {kAddPropose, kAddVote};
   }
   return {};
 }
@@ -140,12 +143,14 @@ std::vector<AttackSpace> attack_spaces(const std::string& protocol,
     spaces.push_back(std::move(eclipse));
   }
 
-  const std::vector<std::string> targets = delay_targets(protocol);
+  const std::vector<PayloadType> targets = delay_targets(protocol);
   if (!targets.empty()) {
     AttackSpace delay;
     delay.attack = "delay-schedule";
     ParamAxis type_axis{"type", {}};
-    for (const std::string& t : targets) type_axis.values.emplace_back(t);
+    for (const PayloadType t : targets) {
+      type_axis.values.emplace_back(PayloadTypeRegistry::instance().name(t));
+    }
     delay.axes = {
         std::move(type_axis),
         mode_axis("rush", "stall"),

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "core/config_check.hpp"
 #include "core/log.hpp"
 #include "protocols/add/add.hpp"
 #include "protocols/pbft/pbft.hpp"
@@ -225,10 +226,10 @@ void AdaptivePartitionAttack::on_timer(const TimerEvent& ev,
 
 // --- targeted delay scheduling -----------------------------------------------
 
-DelayScheduleAttack::DelayScheduleAttack(std::string type, bool stall,
+DelayScheduleAttack::DelayScheduleAttack(PayloadType type, bool stall,
                                          Time amount, Time start, Time end,
                                          Time min_delay, Time max_delay)
-    : type_(std::move(type)),
+    : type_(type),
       stall_(stall),
       amount_(amount),
       start_(start),
@@ -240,7 +241,7 @@ Disposition DelayScheduleAttack::attack(MessageInFlight& in_flight,
                                         AttackerContext& ctx) {
   const Time now = ctx.now();
   if (now < start_ || now >= end_) return Disposition::kDeliver;
-  if (in_flight.msg.payload->type() != type_) return Disposition::kDeliver;
+  if (!in_flight.msg.is(type_)) return Disposition::kDeliver;
   if (stall_) {
     // Stay within the network model's bounds: never push past the delay
     // spec's max clamp (when one exists). A sample may already sit at the
@@ -411,7 +412,12 @@ void register_builtin_attacks(AttackRegistry& registry) {
   });
   registry.add("delay-schedule",
                [=](const SimConfig& cfg) -> std::unique_ptr<Attacker> {
-    std::string type = get_str(cfg, "type", "");
+    const std::string name = get_str(cfg, "type", "");
+    const auto type = PayloadTypeRegistry::instance().find(name);
+    if (!type || *type == PayloadType::kUnknown) {
+      cfgcheck::fail("$.attack_params.type",
+                     "unknown message type \"" + name + "\"");
+    }
     const bool stall = get_str(cfg, "mode", "stall") == "stall";
     const Time amount = from_ms(get_num(cfg, "amount_ms", cfg.lambda_ms));
     const Time start = from_ms(get_num(cfg, "start_ms", 0.0));
@@ -421,7 +427,7 @@ void register_builtin_attacks(AttackRegistry& registry) {
     const Time min_delay = from_ms(cfg.delay.min_ms);
     const Time max_delay =
         cfg.delay.max_ms > 0 ? from_ms(cfg.delay.max_ms) : Time{0};
-    return std::make_unique<DelayScheduleAttack>(std::move(type), stall, amount,
+    return std::make_unique<DelayScheduleAttack>(*type, stall, amount,
                                                  start, start + duration,
                                                  min_delay, max_delay);
   });

@@ -178,13 +178,13 @@ class AdaptivePartitionAttack final : public Attacker {
 /// Parameter vector: {type, mode, amount_ms, start_ms, duration_ms}.
 class DelayScheduleAttack final : public Attacker {
  public:
-  DelayScheduleAttack(std::string type, bool stall, Time amount, Time start,
+  DelayScheduleAttack(PayloadType type, bool stall, Time amount, Time start,
                       Time end, Time min_delay, Time max_delay);
 
   Disposition attack(MessageInFlight& in_flight, AttackerContext& ctx) override;
 
  private:
-  std::string type_;
+  PayloadType type_;
   bool stall_;
   Time amount_;
   Time start_;

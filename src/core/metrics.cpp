@@ -4,16 +4,6 @@
 
 namespace bftsim {
 
-std::map<std::string, std::uint64_t> Metrics::per_type() const {
-  std::map<std::string, std::uint64_t> out = untyped_counts_;
-  const PayloadTypeRegistry& registry = PayloadTypeRegistry::instance();
-  for (std::size_t i = 0; i < typed_counts_.size(); ++i) {
-    if (typed_counts_[i] == 0) continue;
-    out[registry.name(static_cast<PayloadType>(i))] += typed_counts_[i];
-  }
-  return out;
-}
-
 std::uint64_t Metrics::decision_count(NodeId node) const noexcept {
   return static_cast<std::uint64_t>(
       std::count_if(decisions_.begin(), decisions_.end(),

@@ -24,7 +24,8 @@ std::string TraceRecord::to_string() const {
     case TraceKind::kSend:
     case TraceKind::kDeliver:
     case TraceKind::kDrop:
-      os << " " << a << "->" << b << " " << type << " #" << msg_id;
+      os << " " << a << "->" << b << " "
+         << PayloadTypeRegistry::instance().name(type) << " #" << msg_id;
       break;
     case TraceKind::kTimerFire:
       os << " node " << a;

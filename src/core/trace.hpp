@@ -15,6 +15,7 @@
 
 #include "core/types.hpp"
 #include "crypto/hash.hpp"
+#include "net/payload_type.hpp"
 
 namespace bftsim {
 
@@ -36,15 +37,18 @@ struct TraceRecord {
   Time at = 0;
   NodeId a = kNoNode;
   NodeId b = kNoNode;
-  std::string type;            ///< payload type tag (message records)
+  PayloadType type = PayloadType::kUnknown;  ///< message records' kind
   std::uint64_t digest = 0;    ///< payload digest (message records)
   std::uint64_t msg_id = 0;    ///< unique message id (message records)
   View view = 0;               ///< view/height where applicable
   Value value = 0;             ///< decided value where applicable
 
+  /// Hashes the kind's registered name, so a fingerprint depends on what
+  /// a trace file records, not on tag numbering.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return hash_words({static_cast<std::uint64_t>(kind),
-                       static_cast<std::uint64_t>(at), a, b, fnv1a64(type),
+                       static_cast<std::uint64_t>(at), a, b,
+                       PayloadTypeRegistry::instance().name_hash(type),
                        digest, msg_id, view, value});
   }
 

@@ -47,27 +47,26 @@ std::optional<CertificateRule> certificate_rule(const std::string& protocol,
   // (the HotStuff family) the leader's own vote reaches it locally, so one
   // sender fewer than the quorum is provably on the wire.
   if (protocol == "pbft" || protocol == "pbft-canary") {
-    return CertificateRule{"pbft/commit", 2 * f + 1};
+    return CertificateRule{PayloadType::kPbftCommit, 2 * f + 1};
   }
   if (protocol == "tendermint") {
-    return CertificateRule{"tendermint/precommit", 2 * f + 1};
+    return CertificateRule{PayloadType::kTendermintPrecommit, 2 * f + 1};
   }
   if (protocol == "hotstuff-ns" || protocol == "librabft") {
-    return CertificateRule{"hotstuff/vote", 2 * f};
+    return CertificateRule{PayloadType::kHotStuffVote, 2 * f};
   }
   if (protocol == "sync-hotstuff") {
-    return CertificateRule{"sync-hs/vote", f};
+    return CertificateRule{PayloadType::kSyncHotStuffVote, f};
   }
   return std::nullopt;  // add*/algorand/asyncba: no fixed vote quorum
 }
 
-namespace {
-
-/// Certificate-validity check; empty string means no violation.
-[[nodiscard]] std::string check_certificate(const SimConfig& cfg,
-                                            const RunResult& result) {
+std::optional<CertificateSupport> certificate_support(
+    const SimConfig& cfg, const RunResult& result) {
   const auto rule = certificate_rule(cfg.protocol, cfg.n);
-  if (!rule || result.decisions.empty() || result.trace.empty()) return {};
+  if (!rule || result.decisions.empty() || result.trace.empty()) {
+    return std::nullopt;
+  }
 
   const std::unordered_set<NodeId> honest(result.honest.begin(),
                                           result.honest.end());
@@ -78,7 +77,7 @@ namespace {
     if (!found || d.at < first_decide) first_decide = d.at;
     found = true;
   }
-  if (!found) return {};
+  if (!found) return std::nullopt;
 
   std::unordered_set<NodeId> senders;
   for (const TraceRecord& rec : result.trace.records()) {
@@ -87,11 +86,22 @@ namespace {
       senders.insert(rec.a);
     }
   }
-  if (senders.size() >= rule->min_senders) return {};
-  return "first decide at " + std::to_string(to_ms(first_decide)) +
-         "ms backed by only " + std::to_string(senders.size()) + " distinct " +
-         rule->vote_type + " senders (certificate needs >= " +
-         std::to_string(rule->min_senders) + ")";
+  return CertificateSupport{*rule, first_decide, senders.size()};
+}
+
+namespace {
+
+/// Certificate-validity check; empty string means no violation.
+[[nodiscard]] std::string check_certificate(const SimConfig& cfg,
+                                            const RunResult& result) {
+  const auto support = certificate_support(cfg, result);
+  if (!support || support->senders >= support->rule.min_senders) return {};
+  return "first decide at " + std::to_string(to_ms(support->first_decide)) +
+         "ms backed by only " + std::to_string(support->senders) +
+         " distinct " +
+         PayloadTypeRegistry::instance().name(support->rule.vote_type) +
+         " senders (certificate needs >= " +
+         std::to_string(support->rule.min_senders) + ")";
 }
 
 }  // namespace

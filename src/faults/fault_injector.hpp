@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -28,23 +27,21 @@
 
 namespace bftsim {
 
-/// Payload wrapper modelling in-flight corruption: it carries the kUnknown
-/// dispatch tag (so every protocol's tag switch ignores it, exactly as a
-/// node would discard a message whose signature/QC fails verification) and
-/// perturbs the wrapped payload's digest (so trace digests and the
-/// validator see the corruption).
+/// Payload wrapper modelling in-flight corruption: it carries the kCorrupt
+/// tag (no protocol's tag switch has a case for it, so receivers discard
+/// it exactly as a node would discard a message whose signature/QC fails
+/// verification) and perturbs the wrapped payload's digest (so trace
+/// digests and the validator see the corruption).
 class CorruptedPayload final : public Payload {
  public:
+  static constexpr PayloadType kType = PayloadType::kCorrupt;
   /// XORed into the original digest; any nonzero constant works, this one
   /// is recognizable in trace dumps.
   static constexpr std::uint64_t kPerturbation = 0xBADC0DEBADC0DEull;
 
   explicit CorruptedPayload(PayloadPtr original) noexcept
-      : Payload(PayloadType::kUnknown), original_(std::move(original)) {}
+      : Payload(kType), original_(std::move(original)) {}
 
-  [[nodiscard]] std::string_view type() const noexcept override {
-    return "corrupt";
-  }
   [[nodiscard]] std::uint64_t digest() const noexcept override {
     return (original_ != nullptr ? original_->digest() : 0) ^ kPerturbation;
   }

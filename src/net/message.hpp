@@ -8,18 +8,16 @@
 // broadcast.
 //
 // Every payload carries a PayloadType tag (a stable small integer set at
-// construction, see net/payload_type.hpp). Dispatch switches on the tag —
-// `Message::type_id()` / `Message::is()` — and `as<T>()` is a tag-checked
-// static_cast, so the per-message hot path never touches RTTI. Payload
-// classes without a `kType` member (untagged user payloads) keep the old
-// dynamic_cast behavior.
+// construction, see net/payload_type.hpp): the message kind's only
+// identity. Dispatch switches on the tag — `Message::type_id()` /
+// `Message::is()` — and `as<T>()` is a tag-checked static_cast, so the
+// per-message hot path never touches RTTI. Traces carry the tag too; the
+// kind's name lives in PayloadTypeRegistry.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <string_view>
-#include <type_traits>
+#include <utility>
 
 #include "core/types.hpp"
 #include "net/payload_type.hpp"
@@ -28,15 +26,12 @@ namespace bftsim {
 
 /// Base class for all protocol message payloads.
 ///
-/// `type()` is a stable, human-readable tag used by traces, the validator
-/// and attackers; `digest()` is a deterministic fingerprint of the payload
-/// contents used for trace hashing and cross-validation. `type_id()` is
-/// the non-virtual dispatch tag; derived classes pass their PayloadType up
-/// through the constructor (and conventionally expose it as a static
-/// `kType` member so Message::as<T>() can check it).
+/// `type_id()` is the message kind; derived classes declare it as a static
+/// `kType` member (which Message::as<T>() checks) and pass it up through
+/// the constructor. `digest()` is a deterministic fingerprint of the
+/// payload contents used for trace hashing and cross-validation.
 class Payload {
  public:
-  Payload() = default;
   explicit Payload(PayloadType type_id) noexcept : type_id_(type_id) {}
   Payload(const Payload&) = default;
   Payload& operator=(const Payload&) = default;
@@ -44,7 +39,6 @@ class Payload {
 
   [[nodiscard]] PayloadType type_id() const noexcept { return type_id_; }
 
-  [[nodiscard]] virtual std::string_view type() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t digest() const noexcept = 0;
 
   /// Estimated wire size in bytes, used by the packet-level baseline
@@ -52,7 +46,7 @@ class Payload {
   [[nodiscard]] virtual std::size_t wire_size() const noexcept { return 128; }
 
  private:
-  PayloadType type_id_ = PayloadType::kUnknown;
+  PayloadType type_id_;
 };
 
 using PayloadPtr = std::shared_ptr<const Payload>;
@@ -63,12 +57,6 @@ template <typename T, typename... Args>
   return std::make_shared<const T>(std::forward<Args>(args)...);
 }
 
-/// True when payload class T declares its dispatch tag.
-template <typename T>
-concept TaggedPayload = requires {
-  { T::kType } -> std::convertible_to<PayloadType>;
-};
-
 /// A message in the simulated network.
 struct Message {
   NodeId src = kNoNode;
@@ -77,7 +65,7 @@ struct Message {
   std::uint64_t id = 0;  ///< unique per transmission, assigned by the network
   PayloadPtr payload;
 
-  /// Dispatch tag of the payload (kUnknown when empty or untagged).
+  /// Dispatch tag of the payload (kUnknown when empty).
   [[nodiscard]] PayloadType type_id() const noexcept {
     return payload != nullptr ? payload->type_id() : PayloadType::kUnknown;
   }
@@ -85,19 +73,12 @@ struct Message {
   /// True when the payload carries tag `t`.
   [[nodiscard]] bool is(PayloadType t) const noexcept { return type_id() == t; }
 
-  /// Downcasts the payload to a concrete type; returns nullptr on mismatch.
-  /// Tag-checked static_cast for tagged payloads (the debug assert catches
-  /// a kType that lies about the dynamic type); dynamic_cast otherwise.
+  /// Downcasts the payload to concrete type T, whose static `kType` member
+  /// names its tag; returns nullptr on a tag mismatch.
   template <typename T>
   [[nodiscard]] const T* as() const noexcept {
-    if constexpr (TaggedPayload<T>) {
-      if (payload == nullptr || payload->type_id() != T::kType) return nullptr;
-      assert(dynamic_cast<const T*>(payload.get()) != nullptr &&
-             "payload kType does not match its dynamic type");
-      return static_cast<const T*>(payload.get());
-    } else {
-      return dynamic_cast<const T*>(payload.get());
-    }
+    if (payload == nullptr || payload->type_id() != T::kType) return nullptr;
+    return static_cast<const T*>(payload.get());
   }
 };
 

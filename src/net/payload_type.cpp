@@ -1,83 +1,88 @@
 #include "net/payload_type.hpp"
 
 #include <stdexcept>
-#include <string>
+
+#include "crypto/hash.hpp"
 
 namespace bftsim {
 
 PayloadTypeRegistry& PayloadTypeRegistry::instance() {
-  static PayloadTypeRegistry registry = [] {
-    PayloadTypeRegistry r;
-    register_builtin_payload_types(r);
-    return r;
-  }();
+  static PayloadTypeRegistry registry;
   return registry;
+}
+
+PayloadTypeRegistry::PayloadTypeRegistry()
+    : entries_(to_index(PayloadType::kBuiltinSentinel),
+               Entry{"", fnv1a64("")}) {
+  add(PayloadType::kPbftPrePrepare, "pbft/pre-prepare");
+  add(PayloadType::kPbftPrepare, "pbft/prepare");
+  add(PayloadType::kPbftCommit, "pbft/commit");
+  add(PayloadType::kPbftViewChange, "pbft/view-change");
+  add(PayloadType::kPbftNewView, "pbft/new-view");
+
+  add(PayloadType::kHotStuffProposal, "hotstuff/proposal");
+  add(PayloadType::kHotStuffVote, "hotstuff/vote");
+  add(PayloadType::kHotStuffBlockRequest, "hotstuff/block-req");
+  add(PayloadType::kHotStuffBlockResponse, "hotstuff/block-resp");
+
+  add(PayloadType::kLibraTimeout, "librabft/timeout");
+  add(PayloadType::kLibraTimeoutCertificate, "librabft/tc");
+
+  add(PayloadType::kTendermintProposal, "tendermint/proposal");
+  add(PayloadType::kTendermintPrevote, "tendermint/prevote");
+  add(PayloadType::kTendermintPrecommit, "tendermint/precommit");
+
+  add(PayloadType::kSyncHotStuffProposal, "sync-hs/proposal");
+  add(PayloadType::kSyncHotStuffVote, "sync-hs/vote");
+  add(PayloadType::kSyncHotStuffBlame, "sync-hs/blame");
+
+  add(PayloadType::kAddElect, "add/elect");
+  add(PayloadType::kAddPropose, "add/propose");
+  add(PayloadType::kAddPrepare, "add/prepare");
+  add(PayloadType::kAddVote, "add/vote");
+  add(PayloadType::kAddCommit, "add/commit");
+
+  add(PayloadType::kAlgorandProposal, "algorand/proposal");
+  add(PayloadType::kAlgorandSoftVote, "algorand/soft-vote");
+  add(PayloadType::kAlgorandCertVote, "algorand/cert-vote");
+  add(PayloadType::kAlgorandNextVote, "algorand/next-vote");
+
+  add(PayloadType::kBrachaInit, "asyncba/init");
+  add(PayloadType::kBrachaEcho, "asyncba/echo");
+  add(PayloadType::kBrachaReady, "asyncba/ready");
+
+  add(PayloadType::kCorrupt, "corrupt");
 }
 
 void PayloadTypeRegistry::add(PayloadType id, std::string_view name) {
   const std::size_t index = to_index(id);
-  if (index >= names_.size()) names_.resize(index + 1);
-  if (!names_[index].empty() && names_[index] != name) {
-    throw std::invalid_argument("payload type id " + std::to_string(index) +
-                                " already registered as " + names_[index]);
+  if (id == PayloadType::kUnknown || name.empty()) {
+    throw std::invalid_argument(
+        "payload type registration needs a nonzero id and a non-empty name");
   }
-  names_[index] = std::string(name);
+  if (contains(id) && this->name(id) != name) {
+    throw std::invalid_argument("payload type id " + std::to_string(index) +
+                                " already registered as " + this->name(id));
+  }
+  if (const auto holder = find(name); holder && *holder != id) {
+    throw std::invalid_argument("payload type name " + std::string(name) +
+                                " already registered for id " +
+                                std::to_string(to_index(*holder)));
+  }
+  if (index >= entries_.size()) entries_.resize(index + 1, entries_[0]);
+  entries_[index] = Entry{std::string(name), fnv1a64(name)};
 }
 
-std::string PayloadTypeRegistry::name(PayloadType id) const {
-  const std::size_t index = to_index(id);
-  if (index < names_.size() && !names_[index].empty()) return names_[index];
-  return "payload-type-" + std::to_string(index);
-}
-
-bool PayloadTypeRegistry::contains(PayloadType id) const noexcept {
-  const std::size_t index = to_index(id);
-  return index < names_.size() && !names_[index].empty();
-}
-
-std::size_t PayloadTypeRegistry::index_limit() const noexcept {
-  return names_.size();
-}
-
-void register_builtin_payload_types(PayloadTypeRegistry& registry) {
-  if (registry.contains(PayloadType::kPbftPrePrepare)) return;  // already done
-
-  registry.add(PayloadType::kPbftPrePrepare, "pbft/pre-prepare");
-  registry.add(PayloadType::kPbftPrepare, "pbft/prepare");
-  registry.add(PayloadType::kPbftCommit, "pbft/commit");
-  registry.add(PayloadType::kPbftViewChange, "pbft/view-change");
-  registry.add(PayloadType::kPbftNewView, "pbft/new-view");
-
-  registry.add(PayloadType::kHotStuffProposal, "hotstuff/proposal");
-  registry.add(PayloadType::kHotStuffVote, "hotstuff/vote");
-  registry.add(PayloadType::kHotStuffBlockRequest, "hotstuff/block-req");
-  registry.add(PayloadType::kHotStuffBlockResponse, "hotstuff/block-resp");
-
-  registry.add(PayloadType::kLibraTimeout, "librabft/timeout");
-  registry.add(PayloadType::kLibraTimeoutCertificate, "librabft/tc");
-
-  registry.add(PayloadType::kTendermintProposal, "tendermint/proposal");
-  registry.add(PayloadType::kTendermintPrevote, "tendermint/prevote");
-  registry.add(PayloadType::kTendermintPrecommit, "tendermint/precommit");
-
-  registry.add(PayloadType::kSyncHotStuffProposal, "sync-hs/proposal");
-  registry.add(PayloadType::kSyncHotStuffVote, "sync-hs/vote");
-  registry.add(PayloadType::kSyncHotStuffBlame, "sync-hs/blame");
-
-  registry.add(PayloadType::kAddElect, "add/elect");
-  registry.add(PayloadType::kAddPropose, "add/propose");
-  registry.add(PayloadType::kAddPrepare, "add/prepare");
-  registry.add(PayloadType::kAddVote, "add/vote");
-  registry.add(PayloadType::kAddCommit, "add/commit");
-
-  registry.add(PayloadType::kAlgorandProposal, "algorand/proposal");
-  registry.add(PayloadType::kAlgorandSoftVote, "algorand/soft-vote");
-  registry.add(PayloadType::kAlgorandCertVote, "algorand/cert-vote");
-  registry.add(PayloadType::kAlgorandNextVote, "algorand/next-vote");
-
-  registry.add(PayloadType::kBrachaInit, "asyncba/init");
-  registry.add(PayloadType::kBrachaEcho, "asyncba/echo");
-  registry.add(PayloadType::kBrachaReady, "asyncba/ready");
+std::optional<PayloadType> PayloadTypeRegistry::find(
+    std::string_view name) const {
+  // Linear scan: a few dozen kinds, and callers resolve a name once (the
+  // delay-schedule attack at build time, the binary reader per string
+  // frame) or per record only in the JSONL reader, whose JSON parse costs
+  // far more.
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].name == name) return static_cast<PayloadType>(i);
+  }
+  return std::nullopt;
 }
 
 }  // namespace bftsim

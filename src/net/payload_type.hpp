@@ -1,17 +1,20 @@
-// Payload type tags: stable small-integer ids for every message kind.
+// Payload type tags: the one identity of every message kind.
 //
-// The hot-path message dispatch (Node::on_message) switches on these tags
-// instead of walking dynamic_cast chains; Message::as<T>() checks the tag
-// and static_casts (with a debug-build dynamic_cast assert). Ids are
-// stable across runs and registered alongside the protocol registry, so
-// metrics can count message kinds with a flat array increment instead of
-// a per-send string allocation and map lookup.
+// Each kind is a stable small integer. The hot-path message dispatch
+// (Node::on_message) switches on these tags, Message::as<T>() checks the
+// tag and static_casts, and traces carry the tag. The kind's
+// human-readable name is registered once, here in the registry (builtins
+// in net/payload_type.cpp): trace files, the delay-schedule attack's
+// `type` parameter and trace_inspect map between tags and names through
+// it.
 //
-// Custom protocols pick ids at or above kUserBase and may register a
-// human-readable name; see examples/custom_protocol.cpp.
+// Custom protocols pick ids at or above kUserBase and register a name for
+// each; see examples/custom_protocol.cpp.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -20,7 +23,7 @@ namespace bftsim {
 /// Stable id per message kind. Builtin protocols enumerate below
 /// kBuiltinSentinel; user protocols start at kUserBase.
 enum class PayloadType : std::uint16_t {
-  kUnknown = 0,  ///< untagged payload: as<T>() falls back to dynamic_cast
+  kUnknown = 0,  ///< no payload (non-message trace records); name ""
 
   // PBFT.
   kPbftPrePrepare,
@@ -67,6 +70,9 @@ enum class PayloadType : std::uint16_t {
   kBrachaEcho,
   kBrachaReady,
 
+  // A copy corrupted in flight (faults/). No protocol dispatches it.
+  kCorrupt,
+
   kBuiltinSentinel,  ///< one past the last builtin id
 
   /// First id available to user-defined protocols.
@@ -77,33 +83,51 @@ enum class PayloadType : std::uint16_t {
   return static_cast<std::uint16_t>(t);
 }
 
-/// Maps payload type ids to their human-readable names (the same strings
-/// the payloads' virtual type() returns). Builtins are registered on first
-/// access; custom protocols register theirs next to their ProtocolRegistry
-/// entry.
+/// Maps payload type ids to their human-readable names and back. Builtins
+/// are registered on first access; custom protocols register theirs next
+/// to their ProtocolRegistry entry, before any run or trace read uses
+/// them (the registry is not safe to extend while runs read it).
 class PayloadTypeRegistry {
  public:
   /// The singleton registry, with all builtin types registered.
   [[nodiscard]] static PayloadTypeRegistry& instance();
 
-  /// Registers a type id; throws std::invalid_argument when the id is
-  /// already registered under a different name.
+  /// Registers a type id under a non-empty name; throws
+  /// std::invalid_argument when the id is already registered under a
+  /// different name or the name is already held by another id.
   void add(PayloadType id, std::string_view name);
 
-  /// Name for `id`; "payload-type-<id>" when unregistered.
-  [[nodiscard]] std::string name(PayloadType id) const;
+  /// Name of `id`; "" for kUnknown and for unregistered ids.
+  [[nodiscard]] const std::string& name(PayloadType id) const noexcept {
+    return entry(id).name;
+  }
 
-  [[nodiscard]] bool contains(PayloadType id) const noexcept;
+  /// fnv1a64(name(id)), computed once at registration.
+  [[nodiscard]] std::uint64_t name_hash(PayloadType id) const noexcept {
+    return entry(id).hash;
+  }
 
-  /// Largest registered index + 1 (sizing hint for per-type count arrays).
-  [[nodiscard]] std::size_t index_limit() const noexcept;
+  /// The id registered under `name`; kUnknown for "", nullopt when no id
+  /// holds the name.
+  [[nodiscard]] std::optional<PayloadType> find(std::string_view name) const;
+
+  [[nodiscard]] bool contains(PayloadType id) const noexcept {
+    return !name(id).empty();
+  }
 
  private:
-  PayloadTypeRegistry() = default;
-  std::vector<std::string> names_;  ///< indexed by to_index(id); "" = absent
-};
+  struct Entry {
+    std::string name;
+    std::uint64_t hash;
+  };
 
-/// Registers names for every builtin payload type (idempotent).
-void register_builtin_payload_types(PayloadTypeRegistry& registry);
+  PayloadTypeRegistry();
+  [[nodiscard]] const Entry& entry(PayloadType id) const noexcept {
+    const std::size_t index = to_index(id);
+    return index < entries_.size() ? entries_[index] : entries_[0];
+  }
+
+  std::vector<Entry> entries_;  ///< indexed by to_index(id); [0] = kUnknown
+};
 
 }  // namespace bftsim

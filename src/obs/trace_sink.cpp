@@ -122,6 +122,27 @@ void append_hex64(std::string& out, std::uint64_t v) {
   return v;
 }
 
+/// The name a trace file records for `type`. A message kind without a
+/// registered name could not be read back, so it fails the write.
+[[nodiscard]] const std::string& traced_name(PayloadType type) {
+  const std::string& name = PayloadTypeRegistry::instance().name(type);
+  if (name.empty() && type != PayloadType::kUnknown) {
+    throw std::runtime_error("trace sink: payload type " +
+                             std::to_string(to_index(type)) +
+                             " has no registered name");
+  }
+  return name;
+}
+
+/// The tag registered under a trace file's `name`.
+[[nodiscard]] PayloadType type_from_name(const std::string& name,
+                                         const std::string& where) {
+  if (const auto type = PayloadTypeRegistry::instance().find(name)) {
+    return *type;
+  }
+  throw std::runtime_error(where + ": unknown message type \"" + name + "\"");
+}
+
 [[nodiscard]] std::ofstream open_for_write(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("trace sink: cannot open " + path);
@@ -148,7 +169,7 @@ void JsonlTraceSink::write(const TraceRecord& rec) {
   line_ += ",\"b\":";
   line_ += std::to_string(rec.b);
   line_ += ",\"type\":";
-  append_json_string(line_, rec.type);
+  append_json_string(line_, traced_name(rec.type));
   line_ += ",\"digest\":";
   append_hex64(line_, rec.digest);
   line_ += ",\"msg\":";
@@ -175,19 +196,20 @@ BinaryTraceSink::BinaryTraceSink(const std::string& path)
   out_.write(kBinaryMagic, sizeof kBinaryMagic);
 }
 
-std::uint32_t BinaryTraceSink::intern(const std::string& type) {
-  // Linear scan: a run uses a handful of distinct payload types, and the
-  // hit is almost always among the first few entries.
-  for (std::uint32_t i = 0; i < strings_.size(); ++i) {
-    if (strings_[i] == type) return i;
+std::uint32_t BinaryTraceSink::intern(PayloadType type) {
+  const std::size_t index = to_index(type);
+  if (index >= string_ids_.size()) {
+    string_ids_.resize(index + 1, kNotInterned);
   }
-  const auto id = static_cast<std::uint32_t>(strings_.size());
-  strings_.push_back(type);
+  if (string_ids_[index] != kNotInterned) return string_ids_[index];
+  const std::string& name = traced_name(type);
+  const std::uint32_t id = strings_++;
+  string_ids_[index] = id;
   std::string frame;
   append_u8(frame, kFrameString);
   append_u32(frame, id);
-  append_u32(frame, static_cast<std::uint32_t>(type.size()));
-  frame += type;
+  append_u32(frame, static_cast<std::uint32_t>(name.size()));
+  frame += name;
   out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   return id;
 }
@@ -280,11 +302,11 @@ bool TraceReader::next_jsonl(TraceRecord& out) {
       static_cast<std::uint32_t>(v.get_int("a", kNoNode)));
   out.b = static_cast<NodeId>(
       static_cast<std::uint32_t>(v.get_int("b", kNoNode)));
-  out.type = v.get_string("type", "");
   out.digest = parse_hex64(v.get_string("digest", "0"), where);
   out.msg_id = static_cast<std::uint64_t>(v.get_int("msg", 0));
   out.view = static_cast<View>(v.get_int("view", 0));
   out.value = parse_hex64(v.get_string("value", "0"), where);
+  out.type = type_from_name(v.get_string("type", ""), where);
   return true;
 }
 
@@ -300,7 +322,7 @@ bool TraceReader::next_binary(TraceRecord& out) {
       if (!read_u32(in_, id) || !read_u32(in_, len)) {
         throw std::runtime_error(where + ": truncated string frame");
       }
-      if (id != strings_.size() || len > kMaxTypeStringLen) {
+      if (id != types_.size() || len > kMaxTypeStringLen) {
         throw std::runtime_error(where + ": corrupt string table");
       }
       std::string s(len, '\0');
@@ -308,7 +330,7 @@ bool TraceReader::next_binary(TraceRecord& out) {
       if (static_cast<std::uint32_t>(in_.gcount()) != len) {
         throw std::runtime_error(where + ": truncated string frame");
       }
-      strings_.push_back(std::move(s));
+      types_.push_back(type_from_name(s, where));
       continue;
     }
     if (tag != kFrameRecord) {
@@ -327,7 +349,7 @@ bool TraceReader::next_binary(TraceRecord& out) {
     if (kind > static_cast<std::uint8_t>(TraceKind::kCorrupt)) {
       throw std::runtime_error(where + ": bad record kind");
     }
-    if (type_id >= strings_.size()) {
+    if (type_id >= types_.size()) {
       throw std::runtime_error(where + ": dangling string id");
     }
     out = TraceRecord{};
@@ -335,7 +357,7 @@ bool TraceReader::next_binary(TraceRecord& out) {
     out.at = static_cast<Time>(at);
     out.a = a;
     out.b = b;
-    out.type = strings_[type_id];
+    out.type = types_[type_id];
     out.digest = digest;
     out.msg_id = msg_id;
     out.view = view;

@@ -43,7 +43,6 @@ struct AddElect final : Payload {  // v2 only
   VrfOutput credential;
 
   AddElect(std::uint64_t i, VrfOutput c) : Payload(kType), iter(i), credential(c) {}
-  std::string_view type() const noexcept override { return "add/elect"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x454cULL, iter, credential.value});
   }
@@ -63,7 +62,6 @@ struct AddPropose final : Payload {
   AddPropose(std::uint64_t i, Value v, VrfOutput c, std::uint32_t body = 0)
       : Payload(kType), iter(i), value(v), body_bytes(body),
         has_credential(true), credential(c) {}
-  std::string_view type() const noexcept override { return "add/propose"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5052ULL, iter, value, credential.value});
   }
@@ -76,7 +74,6 @@ struct AddPrepare final : Payload {  // v3 only
   Value value = 0;
 
   AddPrepare(std::uint64_t i, Value v) : Payload(kType), iter(i), value(v) {}
-  std::string_view type() const noexcept override { return "add/prepare"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5245ULL, iter, value});
   }
@@ -89,7 +86,6 @@ struct AddVote final : Payload {
   Value value = 0;
 
   AddVote(std::uint64_t i, Value v) : Payload(kType), iter(i), value(v) {}
-  std::string_view type() const noexcept override { return "add/vote"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x564fULL, iter, value});
   }
@@ -102,7 +98,6 @@ struct AddCommit final : Payload {
   Value value = 0;
 
   AddCommit(std::uint64_t i, Value v) : Payload(kType), iter(i), value(v) {}
-  std::string_view type() const noexcept override { return "add/commit"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x434fULL, iter, value});
   }

@@ -34,7 +34,6 @@ struct AlgoProposal final : Payload {
 
   AlgoProposal(std::uint64_t p, Value v, VrfOutput c, std::uint32_t body = 0)
       : Payload(kType), period(p), value(v), body_bytes(body), credential(c) {}
-  std::string_view type() const noexcept override { return "algorand/proposal"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x4150ULL, period, value, credential.value});
   }
@@ -47,7 +46,6 @@ struct AlgoSoftVote final : Payload {
   Value value = 0;
 
   AlgoSoftVote(std::uint64_t p, Value v) : Payload(kType), period(p), value(v) {}
-  std::string_view type() const noexcept override { return "algorand/soft-vote"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x4153ULL, period, value});
   }
@@ -60,7 +58,6 @@ struct AlgoCertVote final : Payload {
   Value value = 0;
 
   AlgoCertVote(std::uint64_t p, Value v) : Payload(kType), period(p), value(v) {}
-  std::string_view type() const noexcept override { return "algorand/cert-vote"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x4143ULL, period, value});
   }
@@ -73,7 +70,6 @@ struct AlgoNextVote final : Payload {
   Value value = kBottom;  ///< kBottom encodes ⊥
 
   AlgoNextVote(std::uint64_t p, Value v) : Payload(kType), period(p), value(v) {}
-  std::string_view type() const noexcept override { return "algorand/next-vote"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x414eULL, period, value});
   }

@@ -39,7 +39,6 @@ struct BrachaInit final : Payload {
 
   BrachaInit(std::uint64_t r, std::uint8_t s, Value v)
       : Payload(kType), round(r), step(s), value(v) {}
-  std::string_view type() const noexcept override { return "asyncba/init"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x494eULL, round, step, value});
   }
@@ -55,7 +54,6 @@ struct BrachaEcho final : Payload {
 
   BrachaEcho(std::uint64_t r, std::uint8_t s, NodeId o, Value v)
       : Payload(kType), round(r), step(s), origin(o), value(v) {}
-  std::string_view type() const noexcept override { return "asyncba/echo"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x4543ULL, round, step, origin, value});
   }
@@ -71,7 +69,6 @@ struct BrachaReady final : Payload {
 
   BrachaReady(std::uint64_t r, std::uint8_t s, NodeId o, Value v)
       : Payload(kType), round(r), step(s), origin(o), value(v) {}
-  std::string_view type() const noexcept override { return "asyncba/ready"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5244ULL, round, step, origin, value});
   }

@@ -41,6 +41,23 @@ Block Core::make_block(View view, Context& ctx) {
   return b;
 }
 
+void Core::propose(View view, Context& ctx) {
+  Block b = make_block(view, ctx);
+  store(b);
+  const Signature sig = ctx.signer().sign(id_, b.digest());
+  ctx.broadcast(ctx.make_payload<Proposal>(b, sig));
+}
+
+void Core::try_vote(const Block& block, View view, Context& ctx) {
+  if (block.view != view || block.view <= last_voted_) return;
+  if (missing_ancestor(block) || !safe_to_vote(block)) return;
+  last_voted_ = block.view;
+  const Signature vote_sig =
+      ctx.signer().sign(id_, hash_words({0x564fULL, block.view, block.id}));
+  ctx.send(leader_of(block.view + 1, ctx),
+           ctx.make_payload<Vote>(block.view, block.id, vote_sig));
+}
+
 void Core::store(const Block& b) { blocks_.emplace(b.id, b); }
 
 bool Core::extends(const Block& descendant, Value ancestor_id) const noexcept {

@@ -54,7 +54,6 @@ struct Proposal final : Payload {
   Signature sig;
 
   Proposal(Block b, Signature s) : Payload(kType), block(b), sig(s) {}
-  std::string_view type() const noexcept override { return "hotstuff/proposal"; }
   std::uint64_t digest() const noexcept override { return block.digest(); }
   std::size_t wire_size() const noexcept override {
     return 512 + block.body_bytes;
@@ -68,7 +67,6 @@ struct Vote final : Payload {
   Signature sig;
 
   Vote(View v, Value b, Signature s) : Payload(kType), view(v), block_id(b), sig(s) {}
-  std::string_view type() const noexcept override { return "hotstuff/vote"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x564fULL, view, block_id});
   }
@@ -82,7 +80,6 @@ struct BlockRequest final : Payload {
   Value block_id = 0;
 
   explicit BlockRequest(Value b) : Payload(kType), block_id(b) {}
-  std::string_view type() const noexcept override { return "hotstuff/block-req"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x4252ULL, block_id});
   }
@@ -94,7 +91,6 @@ struct BlockResponse final : Payload {
   std::vector<Block> blocks;  ///< requested block and up to kChunk ancestors
 
   explicit BlockResponse(std::vector<Block> b) : Payload(kType), blocks(std::move(b)) {}
-  std::string_view type() const noexcept override { return "hotstuff/block-resp"; }
   std::uint64_t digest() const noexcept override {
     std::uint64_t h = 0x4253ULL;
     for (const Block& b : blocks) h = hash_combine(h, b.digest());
@@ -127,8 +123,22 @@ class Core {
     return last_committed_view_;
   }
 
+  /// Round-robin leader of view `v`.
+  [[nodiscard]] static NodeId leader_of(View v, const Context& ctx) noexcept {
+    return static_cast<NodeId>(v % ctx.n());
+  }
+
   /// Creates the block a leader proposes in `view`, extending high_qc.
   [[nodiscard]] Block make_block(View view, Context& ctx);
+
+  /// Leader step: makes, stores and broadcasts the signed proposal for
+  /// `view`.
+  void propose(View view, Context& ctx);
+
+  /// Replica step: votes for `block` when it is for `view` (the replica's
+  /// current view), newer than the last vote, complete and safe; the vote
+  /// goes to the next view's leader.
+  void try_vote(const Block& block, View view, Context& ctx);
 
   /// Stores a block (id-keyed; duplicates ignored).
   void store(const Block& b);
@@ -180,6 +190,7 @@ class Core {
   QuorumCert locked_qc_;
   std::uint64_t last_reported_height_ = 0;  ///< genesis is height 0
   View last_committed_view_ = 0;
+  View last_voted_ = 0;
   QuorumTracker<std::pair<View, Value>> votes_;
   OnceSet<std::pair<View, Value>> qc_formed_;
   OnceSet<Value> requested_;

@@ -22,14 +22,7 @@ void HotStuffNsNode::enter_view(View v, Context& ctx) {
   ctx.record_view(cur_view_);
   if (timer_ != 0) ctx.cancel_timer(timer_);
   timer_ = ctx.set_timer(duration_of(cur_view_), kViewTimerTag);
-  if (leader_of(cur_view_, ctx) == id_) propose(ctx);
-}
-
-void HotStuffNsNode::propose(Context& ctx) {
-  Block b = core_.make_block(cur_view_, ctx);
-  core_.store(b);
-  const Signature sig = ctx.signer().sign(id_, b.digest());
-  ctx.broadcast(ctx.make_payload<Proposal>(b, sig));
+  if (Core::leader_of(cur_view_, ctx) == id_) core_.propose(cur_view_, ctx);
 }
 
 void HotStuffNsNode::on_message(const Message& msg, Context& ctx) {
@@ -41,20 +34,10 @@ void HotStuffNsNode::on_message(const Message& msg, Context& ctx) {
   }
 }
 
-void HotStuffNsNode::try_vote(const Block& block, Context& ctx) {
-  if (block.view != cur_view_ || block.view <= last_voted_) return;
-  if (core_.missing_ancestor(block) || !core_.safe_to_vote(block)) return;
-  last_voted_ = block.view;
-  const Signature vote_sig =
-      ctx.signer().sign(id_, hash_words({0x564fULL, block.view, block.id}));
-  ctx.send(leader_of(block.view + 1, ctx),
-           ctx.make_payload<Vote>(block.view, block.id, vote_sig));
-}
-
 void HotStuffNsNode::handle_proposal(const Message& msg, Context& ctx) {
   const auto& m = *msg.as<Proposal>();
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
-  if (leader_of(m.block.view, ctx) != msg.src) return;
+  if (Core::leader_of(m.block.view, ctx) != msg.src) return;
 
   core_.store(m.block);
   if (core_.missing_ancestor(m.block)) {
@@ -68,13 +51,14 @@ void HotStuffNsNode::handle_proposal(const Message& msg, Context& ctx) {
   core_.process_qc(m.block.justify, ctx);
   if (justify_view == cur_view_) enter_view(cur_view_ + 1, ctx);
 
-  try_vote(m.block, ctx);
+  core_.try_vote(m.block, cur_view_, ctx);
 }
 
 void HotStuffNsNode::handle_vote(const Message& msg, Context& ctx) {
   const auto& m = *msg.as<Vote>();
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
-  if (leader_of(m.view + 1, ctx) != id_) return;  // votes go to the next leader
+  // Votes go to the next view's leader.
+  if (Core::leader_of(m.view + 1, ctx) != id_) return;
 
   const auto qc = core_.add_vote(m.view, m.block_id, msg.src, ctx);
   if (!qc.has_value()) return;

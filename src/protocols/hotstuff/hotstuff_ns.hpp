@@ -44,9 +44,6 @@ class HotStuffNsNode final : public Node {
   static constexpr int kMaxDoubling = 4;
 
  private:
-  [[nodiscard]] NodeId leader_of(View v, Context& ctx) const noexcept {
-    return static_cast<NodeId>(v % ctx.n());
-  }
   /// Exponential back-off anchored at the newest QC this replica knows:
   /// the view duration doubles for every view entered without progress and
   /// snaps back to the base when a certificate lands. In a well-configured
@@ -61,15 +58,12 @@ class HotStuffNsNode final : public Node {
   }
 
   void enter_view(View v, Context& ctx);
-  void propose(Context& ctx);
-  void try_vote(const Block& block, Context& ctx);
   void handle_proposal(const Message& msg, Context& ctx);
   void handle_vote(const Message& msg, Context& ctx);
 
   NodeId id_;
   Core core_;
   View cur_view_ = 1;
-  View last_voted_ = 0;
   Time base_duration_ = 0;
   TimerId timer_ = 0;
 };

@@ -20,7 +20,7 @@ LibraBftNode::LibraBftNode(NodeId id, const SimConfig& cfg) : id_(id), core_(id)
 void LibraBftNode::on_start(Context& ctx) {
   ctx.record_view(cur_view_);
   restart_timer(ctx);
-  if (leader_of(cur_view_, ctx) == id_) propose(ctx);
+  if (Core::leader_of(cur_view_, ctx) == id_) core_.propose(cur_view_, ctx);
 }
 
 void LibraBftNode::restart_timer(Context& ctx) {
@@ -36,29 +36,13 @@ void LibraBftNode::advance_to(View v, bool progress, Context& ctx) {
   if (progress) backoff_ = 0;
   ctx.record_view(cur_view_);
   restart_timer(ctx);
-  if (leader_of(cur_view_, ctx) == id_) propose(ctx);
+  if (Core::leader_of(cur_view_, ctx) == id_) core_.propose(cur_view_, ctx);
   pending_.erase(pending_.begin(), pending_.lower_bound(cur_view_));
   if (const auto it = pending_.find(cur_view_); it != pending_.end()) {
     const Block block = it->second;
     pending_.erase(it);
-    try_vote(block, ctx);
+    core_.try_vote(block, cur_view_, ctx);
   }
-}
-
-void LibraBftNode::try_vote(const Block& block, Context& ctx) {
-  if (block.view != cur_view_ || block.view <= last_voted_) return;
-  if (core_.missing_ancestor(block) || !core_.safe_to_vote(block)) return;
-  last_voted_ = block.view;
-  const Signature vote_sig =
-      ctx.signer().sign(id_, hash_words({0x564fULL, block.view, block.id}));
-  ctx.send(leader_of(block.view + 1, ctx),
-           ctx.make_payload<Vote>(block.view, block.id, vote_sig));
-}
-
-void LibraBftNode::propose(Context& ctx) {
-  Block b = core_.make_block(cur_view_, ctx);
-  core_.store(b);
-  ctx.broadcast(ctx.make_payload<Proposal>(b, ctx.signer().sign(id_, b.digest())));
 }
 
 void LibraBftNode::on_message(const Message& msg, Context& ctx) {
@@ -77,7 +61,7 @@ void LibraBftNode::on_message(const Message& msg, Context& ctx) {
 void LibraBftNode::handle_proposal(const Message& msg, Context& ctx) {
   const auto& m = *msg.as<Proposal>();
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
-  if (leader_of(m.block.view, ctx) != msg.src) return;
+  if (Core::leader_of(m.block.view, ctx) != msg.src) return;
 
   core_.store(m.block);
   if (core_.missing_ancestor(m.block)) {
@@ -95,13 +79,13 @@ void LibraBftNode::handle_proposal(const Message& msg, Context& ctx) {
     pending_.emplace(m.block.view, m.block);
     return;
   }
-  try_vote(m.block, ctx);
+  core_.try_vote(m.block, cur_view_, ctx);
 }
 
 void LibraBftNode::handle_vote(const Message& msg, Context& ctx) {
   const auto& m = *msg.as<Vote>();
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
-  if (leader_of(m.view + 1, ctx) != id_) return;
+  if (Core::leader_of(m.view + 1, ctx) != id_) return;
 
   const auto qc = core_.add_vote(m.view, m.block_id, msg.src, ctx);
   if (!qc.has_value()) return;

@@ -28,7 +28,6 @@ struct TimeoutMsg final : Payload {
   Signature sig;
 
   TimeoutMsg(View v, Signature s) : Payload(kType), view(v), sig(s) {}
-  std::string_view type() const noexcept override { return "librabft/timeout"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x544fULL, view});
   }
@@ -40,7 +39,6 @@ struct TcMsg final : Payload {
   TimeoutCert tc;
 
   explicit TcMsg(TimeoutCert t) : Payload(kType), tc(std::move(t)) {}
-  std::string_view type() const noexcept override { return "librabft/tc"; }
   std::uint64_t digest() const noexcept override { return tc.digest(); }
   std::size_t wire_size() const noexcept override { return 256; }
 };
@@ -61,14 +59,8 @@ class LibraBftNode final : public Node {
   static constexpr int kMaxBackoff = 2;
 
  private:
-  [[nodiscard]] NodeId leader_of(View v, Context& ctx) const noexcept {
-    return static_cast<NodeId>(v % ctx.n());
-  }
-
   void restart_timer(Context& ctx);
   void advance_to(View v, bool progress, Context& ctx);
-  void propose(Context& ctx);
-  void try_vote(const Block& block, Context& ctx);
   void handle_proposal(const Message& msg, Context& ctx);
   void handle_vote(const Message& msg, Context& ctx);
   void handle_timeout(const Message& msg, Context& ctx);
@@ -77,7 +69,6 @@ class LibraBftNode final : public Node {
   NodeId id_;
   Core core_;
   View cur_view_ = 1;
-  View last_voted_ = 0;
   Time base_duration_ = 0;
   int backoff_ = 0;  ///< consecutive local timeouts without progress
   TimerId timer_ = 0;

@@ -45,7 +45,6 @@ struct PrePrepare final : Payload {
              std::uint32_t body = 0)
       : Payload(kType), view(v), seq(s), value(val), body_bytes(body),
         sig(signature) {}
-  std::string_view type() const noexcept override { return "pbft/pre-prepare"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5050ULL, view, seq, value});
   }
@@ -61,7 +60,6 @@ struct Prepare final : Payload {
 
   Prepare(View v, std::uint64_t s, Value val, Signature signature)
       : Payload(kType), view(v), seq(s), value(val), sig(signature) {}
-  std::string_view type() const noexcept override { return "pbft/prepare"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5052ULL, view, seq, value});
   }
@@ -77,7 +75,6 @@ struct Commit final : Payload {
 
   Commit(View v, std::uint64_t s, Value val, Signature signature)
       : Payload(kType), view(v), seq(s), value(val), sig(signature) {}
-  std::string_view type() const noexcept override { return "pbft/commit"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x434dULL, view, seq, value});
   }
@@ -96,7 +93,6 @@ struct ViewChange final : Payload {
   ViewChange(View nv, std::uint64_t s, bool hp, View pv, Value pval, Signature signature)
       : Payload(kType), new_view(nv), seq(s), has_prepared(hp), prepared_view(pv),
         prepared_value(pval), sig(signature) {}
-  std::string_view type() const noexcept override { return "pbft/view-change"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5643ULL, new_view, seq,
                        static_cast<std::uint64_t>(has_prepared), prepared_view,
@@ -116,7 +112,6 @@ struct NewView final : Payload {
   NewView(View nv, std::uint64_t s, bool hp, Value pval, Signature signature)
       : Payload(kType), new_view(nv), seq(s), has_prepared(hp), prepared_value(pval),
         sig(signature) {}
-  std::string_view type() const noexcept override { return "pbft/new-view"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x4e56ULL, new_view, seq,
                        static_cast<std::uint64_t>(has_prepared), prepared_value});

@@ -48,7 +48,6 @@ struct ShsProposal final : Payload {
               std::uint32_t body = 0)
       : Payload(kType), height(h), view(v), value(val), body_bytes(body),
         sig(s) {}
-  std::string_view type() const noexcept override { return "sync-hs/proposal"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5348ULL, height, view, value});
   }
@@ -64,7 +63,6 @@ struct ShsVote final : Payload {
 
   ShsVote(std::uint64_t h, View v, Value val, Signature s)
       : Payload(kType), height(h), view(v), value(val), sig(s) {}
-  std::string_view type() const noexcept override { return "sync-hs/vote"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5356ULL, height, view, value});
   }
@@ -77,7 +75,6 @@ struct ShsBlame final : Payload {
   Signature sig;
 
   ShsBlame(View v, Signature s) : Payload(kType), view(v), sig(s) {}
-  std::string_view type() const noexcept override { return "sync-hs/blame"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5342ULL, view});
   }

@@ -41,7 +41,6 @@ struct TmProposal final : Payload {
              Signature s, std::uint32_t body = 0)
       : Payload(kType), height(h), round(r), value(v), valid_round(vr),
         body_bytes(body), sig(s) {}
-  std::string_view type() const noexcept override { return "tendermint/proposal"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5450ULL, height, round, value,
                        static_cast<std::uint64_t>(valid_round)});
@@ -58,7 +57,6 @@ struct TmPrevote final : Payload {
 
   TmPrevote(std::uint64_t h, std::uint64_t r, Value v, Signature s)
       : Payload(kType), height(h), round(r), value(v), sig(s) {}
-  std::string_view type() const noexcept override { return "tendermint/prevote"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5456ULL, height, round, value});
   }
@@ -74,7 +72,6 @@ struct TmPrecommit final : Payload {
 
   TmPrecommit(std::uint64_t h, std::uint64_t r, Value v, Signature s)
       : Payload(kType), height(h), round(r), value(v), sig(s) {}
-  std::string_view type() const noexcept override { return "tendermint/precommit"; }
   std::uint64_t digest() const noexcept override {
     return hash_words({0x5443ULL, height, round, value});
   }

@@ -42,8 +42,6 @@
 #pragma once
 
 #include <algorithm>
-#include <string>
-#include <string_view>
 #include <utility>
 
 #include "faults/fault_injector.hpp"
@@ -55,9 +53,8 @@ namespace bftsim {
 /// The trace record of a materialized message.
 [[nodiscard]] inline TraceRecord message_record(TraceKind kind, Time at,
                                                 const Message& msg) {
-  return TraceRecord{kind, at, msg.src, msg.dst,
-                     std::string(msg.payload->type()), msg.payload->digest(),
-                     msg.id, 0, 0};
+  return TraceRecord{kind, at, msg.src, msg.dst, msg.payload->type_id(),
+                     msg.payload->digest(), msg.id, 0, 0};
 }
 
 /// Wraps one copy's payload in a fault-corrupted envelope.
@@ -78,21 +75,19 @@ struct Controller::Outgoing {
         src(source),
         extra(cpu_extra),
         wire(p->wire_size()),
-        tid(p->type_id()),
-        type(p->type()),
+        type(p->type_id()),
         digest(traced ? p->digest() : 0) {}
 
   [[nodiscard]] TraceRecord record(TraceKind kind, Time at, NodeId dst,
                                    std::uint64_t id) const {
-    return TraceRecord{kind, at, src, dst, std::string(type), digest, id, 0, 0};
+    return TraceRecord{kind, at, src, dst, type, digest, id, 0, 0};
   }
 
   const PayloadPtr& payload;
   NodeId src;  ///< protocol-visible source (a gossip copy keeps its origin)
   Time extra;  ///< sender CPU time spent before the copy reaches the wire
   std::size_t wire;
-  PayloadType tid;
-  std::string_view type;
+  PayloadType type;
   std::uint64_t digest;  ///< read only when tracing
   bool shared = false;   ///< copies share one fan-out envelope
   std::uint64_t gossip_id = 0;
@@ -196,11 +191,6 @@ void Controller::transmit(Port& port, Outgoing& out, NodeId from,
   Metrics& metrics = port.metrics();
   metrics.on_send();
   metrics.on_bytes(out.wire);
-  if (out.tid != PayloadType::kUnknown) {
-    metrics.count_type(out.tid);
-  } else {
-    metrics.count_type(std::string(out.type));
-  }
   if (trace_sink_ != nullptr) {
     port.trace(out.record(TraceKind::kSend, now, dst, id));
   }

@@ -188,7 +188,7 @@ TEST(EquivocationAttackTest, InjectionsAppearInTheTrace) {
   const RunResult result = run_simulation(cfg);
   std::size_t injected_sends = 0;
   for (const TraceRecord& rec : result.trace.records()) {
-    if (rec.kind == TraceKind::kSend && rec.type == "pbft/pre-prepare" &&
+    if (rec.kind == TraceKind::kSend && rec.type == PayloadType::kPbftPrePrepare &&
         rec.a == 0) {
       ++injected_sends;
     }

@@ -7,6 +7,7 @@
 
 #include <initializer_list>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -210,6 +211,22 @@ TEST(DelayScheduleAttackTest, StallRaisesDecisionLatency) {
   EXPECT_TRUE(attacked.decisions_consistent());
 }
 
+TEST(DelayScheduleAttackTest, UnknownTypeIsAConfigError) {
+  // A type naming no registered message kind would match nothing and run
+  // as a silent no-op; it must fail when the attack is built instead.
+  SimConfig cfg = base_config("pbft");
+  cfg.attack = "delay-schedule";
+  cfg.attack_params = params({{"type", "pbft/comit"}, {"mode", "stall"}});
+  try {
+    (void)make_attacker(cfg);
+    FAIL() << "expected an unknown message type to throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "config error at $.attack_params.type: unknown message "
+                 "type \"pbft/comit\"");
+  }
+}
+
 TEST(DelayScheduleAttackTest, RushNeverPullsBelowTheModelMinimum) {
   // Rushing by far more than the mean delay clamps at the delay spec's
   // min_ms: every rushed delivery still arrives strictly after its send.
@@ -226,7 +243,8 @@ TEST(DelayScheduleAttackTest, RushNeverPullsBelowTheModelMinimum) {
   std::map<std::uint64_t, Time> sent_at;
   std::size_t rushed = 0;
   for (const TraceRecord& rec : result.trace.records()) {
-    if (rec.type != "pbft/prepare" || rec.a == rec.b) continue;  // no self-sends
+    // Prepares only, and no self-sends.
+    if (rec.type != PayloadType::kPbftPrepare || rec.a == rec.b) continue;
     if (rec.kind == TraceKind::kSend) sent_at[rec.msg_id] = rec.at;
     if (rec.kind == TraceKind::kDeliver) {
       const auto it = sent_at.find(rec.msg_id);

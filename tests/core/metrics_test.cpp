@@ -22,46 +22,6 @@ TEST(MetricsTest, Counters) {
   EXPECT_EQ(m.events_processed(), 1u);
 }
 
-TEST(MetricsTest, PerTypeCounts) {
-  Metrics m;
-  m.count_type("pbft/prepare");
-  m.count_type("pbft/prepare");
-  m.count_type("pbft/commit");
-  EXPECT_EQ(m.per_type().at("pbft/prepare"), 2u);
-  EXPECT_EQ(m.per_type().at("pbft/commit"), 1u);
-}
-
-TEST(MetricsTest, TaggedCountsReportUnderRegistryNames) {
-  Metrics m;
-  m.count_type(PayloadType::kPbftPrepare);
-  m.count_type(PayloadType::kPbftPrepare);
-  m.count_type(PayloadType::kHotStuffVote);
-  const auto per_type = m.per_type();
-  EXPECT_EQ(per_type.at("pbft/prepare"), 2u);
-  EXPECT_EQ(per_type.at("hotstuff/vote"), 1u);
-  EXPECT_FALSE(per_type.contains("pbft/commit"));
-}
-
-TEST(MetricsTest, TaggedAndUntaggedCountsMerge) {
-  Metrics m;
-  m.count_type(PayloadType::kPbftPrepare);
-  m.count_type("pbft/prepare");   // untagged payload with the same name
-  m.count_type("custom/gossip");  // untagged-only kind
-  const auto per_type = m.per_type();
-  EXPECT_EQ(per_type.at("pbft/prepare"), 2u);
-  EXPECT_EQ(per_type.at("custom/gossip"), 1u);
-}
-
-TEST(MetricsTest, UserTagBeyondBuiltinRangeGrowsTheTable) {
-  Metrics m;
-  const auto user_tag =
-      static_cast<PayloadType>(to_index(PayloadType::kUserBase) + 3);
-  m.count_type(user_tag);
-  m.count_type(user_tag);
-  // Unregistered user tags report under the registry's fallback name.
-  EXPECT_EQ(m.per_type().at(PayloadTypeRegistry::instance().name(user_tag)), 2u);
-}
-
 TEST(MetricsTest, DecisionCount) {
   Metrics m;
   m.on_decision({0, 10, 0, 100});

@@ -11,7 +11,7 @@ TraceRecord send_record(NodeId a, NodeId b, Time at = 0) {
   rec.at = at;
   rec.a = a;
   rec.b = b;
-  rec.type = "test/msg";
+  rec.type = PayloadType::kPbftPrepare;
   rec.digest = 0x1234;
   rec.msg_id = 1;
   return rec;
@@ -82,7 +82,7 @@ TEST(TraceTest, ToStringContainsEssentials) {
   const std::string s = send_record(3, 7, from_ms(12.0)).to_string();
   EXPECT_NE(s.find("send"), std::string::npos);
   EXPECT_NE(s.find("3->7"), std::string::npos);
-  EXPECT_NE(s.find("test/msg"), std::string::npos);
+  EXPECT_NE(s.find("pbft/prepare"), std::string::npos);
   EXPECT_NE(s.find("12"), std::string::npos);
 
   TraceRecord decide;

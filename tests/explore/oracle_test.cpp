@@ -37,18 +37,18 @@ TEST(CertificateRules, MatchEachProtocolsCommitQuorum) {
   // n = 4 => f = 1 for the one-third-resilient protocols.
   const auto pbft = certificate_rule("pbft", 4);
   ASSERT_TRUE(pbft.has_value());
-  EXPECT_EQ(pbft->vote_type, "pbft/commit");
+  EXPECT_EQ(pbft->vote_type, PayloadType::kPbftCommit);
   EXPECT_EQ(pbft->min_senders, 3u);  // 2f + 1
 
   const auto tendermint = certificate_rule("tendermint", 7);
   ASSERT_TRUE(tendermint.has_value());
-  EXPECT_EQ(tendermint->vote_type, "tendermint/precommit");
+  EXPECT_EQ(tendermint->vote_type, PayloadType::kTendermintPrecommit);
   EXPECT_EQ(tendermint->min_senders, 5u);  // f = 2
 
   // Leader-collected votes: the leader's own vote never hits the wire.
   const auto hotstuff = certificate_rule("hotstuff-ns", 4);
   ASSERT_TRUE(hotstuff.has_value());
-  EXPECT_EQ(hotstuff->vote_type, "hotstuff/vote");
+  EXPECT_EQ(hotstuff->vote_type, PayloadType::kHotStuffVote);
   EXPECT_EQ(hotstuff->min_senders, 2u);  // 2f
 
   // No fixed vote quorum drives these protocols' decides.

@@ -98,25 +98,26 @@ TEST(Corruption, PerturbedDigestFailsSignatureVerification) {
   EXPECT_FALSE(signer.verify(sig));
 }
 
-TEST(Corruption, CorruptedPayloadCarriesUnknownTagAndPerturbedDigest) {
+TEST(Corruption, CorruptedPayloadCarriesCorruptTagAndPerturbedDigest) {
   class Dummy final : public Payload {
    public:
     Dummy() : Payload(PayloadType::kPbftPrepare) {}
-    std::string_view type() const noexcept override { return "dummy"; }
     std::uint64_t digest() const noexcept override { return 42; }
     std::size_t wire_size() const noexcept override { return 99; }
   };
   const auto wrapped = std::make_shared<const CorruptedPayload>(
       make_payload<Dummy>());
-  EXPECT_EQ(wrapped->type_id(), PayloadType::kUnknown);
+  EXPECT_EQ(wrapped->type_id(), PayloadType::kCorrupt);
+  EXPECT_EQ(PayloadTypeRegistry::instance().name(wrapped->type_id()),
+            "corrupt");
   EXPECT_EQ(wrapped->digest(), 42ull ^ CorruptedPayload::kPerturbation);
   EXPECT_EQ(wrapped->wire_size(), 99u);
 
-  // The kUnknown tag means no protocol tag switch will ever dispatch it —
-  // the receiver discards it exactly like a message failing verification.
+  // No protocol tag switch has a case for kCorrupt, so the receiver
+  // discards it exactly like a message failing verification.
   Message msg;
   msg.payload = wrapped;
-  EXPECT_EQ(msg.type_id(), PayloadType::kUnknown);
+  EXPECT_EQ(msg.type_id(), PayloadType::kCorrupt);
   EXPECT_FALSE(msg.is(PayloadType::kPbftPrepare));
 }
 

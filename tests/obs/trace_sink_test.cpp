@@ -41,7 +41,7 @@ TraceRecord sample_record(TraceKind kind, Time at) {
   rec.at = at;
   rec.a = 1;
   rec.b = 2;
-  rec.type = "prepare";
+  rec.type = PayloadType::kPbftPrepare;
   rec.digest = 0xdeadbeefcafef00dULL;
   rec.msg_id = 42;
   rec.view = 3;
@@ -89,13 +89,16 @@ TEST_P(TraceSinkFormatTest, RoundTripsRecordsExactly) {
     Time at = 0;
     for (const TraceKind kind : kinds) {
       TraceRecord rec = sample_record(kind, at += 7);
-      if (kind == TraceKind::kDecide) rec.type.clear();
+      if (kind == TraceKind::kDecide) rec.type = PayloadType::kUnknown;
       original.add(rec);
       sink->on_record(rec);
     }
-    // A "quoted \"type\"" exercises JSONL escaping.
+    // A user kind registered under a "quoted \"name\"" exercises JSONL
+    // escaping.
     TraceRecord tricky = sample_record(TraceKind::kSend, at += 7);
-    tricky.type = "with \"quotes\" and \\slashes\\";
+    tricky.type = PayloadType::kUserBase;
+    PayloadTypeRegistry::instance().add(tricky.type,
+                                        "with \"quotes\" and \\slashes\\");
     original.add(tricky);
     sink->on_record(tricky);
     sink->flush();
@@ -198,7 +201,7 @@ TEST(TraceReaderTest, MalformedJsonlReportsRecordIndex) {
   const std::string path = temp_path("bad.jsonl");
   {
     std::ofstream out(path);
-    out << R"({"kind":"send","at":1,"a":0,"b":1,"type":"x","digest":"00000000000000ff","msg":1,"view":0,"value":"0"})"
+    out << R"({"kind":"send","at":1,"a":0,"b":1,"type":"pbft/prepare","digest":"00000000000000ff","msg":1,"view":0,"value":"0"})"
         << "\n";
     out << "this is not json\n";
   }
@@ -311,7 +314,7 @@ TEST(TraceReaderTest, DanglingStringIdReportsRecordIndex) {
 
 TEST(TraceReaderTest, BadRecordKindReportsRecordIndex) {
   std::string body;
-  put_string_frame(body, 0, "x");
+  put_string_frame(body, 0, "pbft/prepare");
   put_record_frame(body, 0xee, 0);
   const std::string msg =
       read_until_error(write_binary("bad_kind.trace", body));
@@ -321,7 +324,7 @@ TEST(TraceReaderTest, BadRecordKindReportsRecordIndex) {
 
 TEST(TraceReaderTest, UnknownFrameTagReportsRecordIndex) {
   std::string body;
-  put_string_frame(body, 0, "x");
+  put_string_frame(body, 0, "pbft/prepare");
   put_record_frame(body, 0, 0);
   body += '\x7f';  // neither a record nor a string frame
   const std::string msg =
@@ -334,7 +337,7 @@ TEST(TraceReaderTest, JsonlNonObjectLineReportsRecordIndex) {
   const std::string path = temp_path("non_object.jsonl");
   {
     std::ofstream out(path);
-    out << R"({"kind":"send","at":1,"a":0,"b":1,"type":"x","digest":"0","msg":1,"view":0,"value":"0"})"
+    out << R"({"kind":"send","at":1,"a":0,"b":1,"type":"pbft/prepare","digest":"0","msg":1,"view":0,"value":"0"})"
         << "\n[1,2,3]\n";
   }
   const std::string msg = read_until_error(path);
@@ -346,7 +349,7 @@ TEST(TraceReaderTest, JsonlUnknownKindReportsRecordIndex) {
   const std::string path = temp_path("bad_kind.jsonl");
   {
     std::ofstream out(path);
-    out << R"({"kind":"teleport","at":1,"a":0,"b":1,"type":"x","digest":"0","msg":1,"view":0,"value":"0"})"
+    out << R"({"kind":"teleport","at":1,"a":0,"b":1,"type":"pbft/prepare","digest":"0","msg":1,"view":0,"value":"0"})"
         << "\n";
   }
   const std::string msg = read_until_error(path);
@@ -358,12 +361,52 @@ TEST(TraceReaderTest, JsonlBadHexFieldReportsRecordIndex) {
   const std::string path = temp_path("bad_hex.jsonl");
   {
     std::ofstream out(path);
-    out << R"({"kind":"send","at":1,"a":0,"b":1,"type":"x","digest":"xyzzy","msg":1,"view":0,"value":"0"})"
+    out << R"({"kind":"send","at":1,"a":0,"b":1,"type":"pbft/prepare","digest":"xyzzy","msg":1,"view":0,"value":"0"})"
         << "\n";
   }
   const std::string msg = read_until_error(path);
   EXPECT_NE(msg.find("record 0"), std::string::npos) << msg;
   EXPECT_NE(msg.find("bad hex field"), std::string::npos) << msg;
+}
+
+TEST(TraceReaderTest, JsonlUnregisteredTypeNamesRecordAndName) {
+  const std::string path = temp_path("unknown_type.jsonl");
+  {
+    std::ofstream out(path);
+    out << R"({"kind":"send","at":1,"a":0,"b":1,"type":"no/such-kind","digest":"0","msg":1,"view":0,"value":"0"})"
+        << "\n";
+  }
+  const std::string msg = read_until_error(path);
+  EXPECT_NE(msg.find("record 0"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("unknown message type \"no/such-kind\""),
+            std::string::npos)
+      << msg;
+}
+
+TEST(TraceReaderTest, BinaryUnregisteredTypeNamesRecordAndName) {
+  std::string body;
+  put_string_frame(body, 0, "pbft/prepare");
+  put_record_frame(body, 0, 0);
+  put_string_frame(body, 1, "no/such-kind");
+  put_record_frame(body, 0, 1);
+  const std::string msg =
+      read_until_error(write_binary("unknown_type.trace", body));
+  EXPECT_NE(msg.find("record 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("unknown message type \"no/such-kind\""),
+            std::string::npos)
+      << msg;
+}
+
+TEST_P(TraceSinkFormatTest, UnregisteredTypeFailsTheWrite) {
+  // A kind without a registered name could not be read back.
+  ObsConfig obs;
+  obs.sink = GetParam();
+  obs.trace_path = temp_path("unregistered.trace");
+  Trace unused;
+  auto sink = obs::make_trace_sink(obs, unused);
+  TraceRecord rec = sample_record(TraceKind::kSend, 1);
+  rec.type = static_cast<PayloadType>(to_index(PayloadType::kUserBase) + 42);
+  EXPECT_THROW(sink->on_record(rec), std::runtime_error);
 }
 
 TEST(TraceReaderTest, TruncatedBinaryThrows) {

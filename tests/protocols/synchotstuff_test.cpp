@@ -97,7 +97,7 @@ TEST(SyncHotStuffEquivocationTest, InjectedProposalsCarryValidSignatures) {
   EXPECT_GT(result.messages_injected, 0u);
   bool saw_vote = false;
   for (const TraceRecord& rec : result.trace.records()) {
-    if (rec.kind == TraceKind::kSend && rec.type == "sync-hs/vote" &&
+    if (rec.kind == TraceKind::kSend && rec.type == PayloadType::kSyncHotStuffVote &&
         rec.at < from_ms(1000)) {
       saw_vote = true;
     }

@@ -16,9 +16,9 @@ namespace {
 // --- test payloads / protocols -------------------------------------------------
 
 struct HelloPayload final : Payload {
+  static constexpr PayloadType kType = PayloadType::kUserBase;
   NodeId from;
-  explicit HelloPayload(NodeId f) : from(f) {}
-  std::string_view type() const noexcept override { return "test/hello"; }
+  explicit HelloPayload(NodeId f) : Payload(kType), from(f) {}
   std::uint64_t digest() const noexcept override { return hash_words({from}); }
 };
 

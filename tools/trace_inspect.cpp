@@ -26,6 +26,7 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,7 +132,9 @@ int cmd_summary(const std::string& path) {
     d.fingerprint = hash_combine(d.fingerprint, rec.fingerprint());
     ++d.records;
     ++by_kind[std::string(to_string(rec.kind))];
-    if (!rec.type.empty()) ++by_type[rec.type];
+    if (rec.type != PayloadType::kUnknown) {
+      ++by_type[PayloadTypeRegistry::instance().name(rec.type)];
+    }
     if (rec.a != kNoNode) max_node = std::max(max_node, rec.a);
     if (rec.b != kNoNode) max_node = std::max(max_node, rec.b);
   }
@@ -169,7 +172,7 @@ int cmd_fingerprint(const std::string& path) {
 
 struct Filter {
   std::string kind;
-  std::string type;
+  std::optional<PayloadType> type;
   NodeId node = kNoNode;
   double from_ms = -1.0;
   double to_ms = -1.0;
@@ -177,7 +180,7 @@ struct Filter {
 
   [[nodiscard]] bool matches(const TraceRecord& rec) const {
     if (!kind.empty() && kind != to_string(rec.kind)) return false;
-    if (!type.empty() && type != rec.type) return false;
+    if (type && *type != rec.type) return false;
     if (node != kNoNode && rec.a != node && rec.b != node) return false;
     if (from_ms >= 0.0 && bftsim::to_ms(rec.at) < from_ms) return false;
     if (to_ms >= 0.0 && bftsim::to_ms(rec.at) > to_ms) return false;
@@ -265,7 +268,13 @@ int main(int argc, char** argv) {
           filter.node =
               static_cast<NodeId>(std::strtoul(next(), nullptr, 10));
         } else if (arg == "--type") {
-          filter.type = next();
+          const char* name = next();
+          filter.type = PayloadTypeRegistry::instance().find(name);
+          if (!filter.type) {
+            std::fprintf(stderr, "filter: unknown message type \"%s\"\n",
+                         name);
+            usage(argv[0]);
+          }
         } else if (arg == "--from-ms") {
           filter.from_ms = std::strtod(next(), nullptr);
         } else if (arg == "--to-ms") {
