@@ -2,7 +2,7 @@
 // queue throughput, RNG sampling, and end-to-end runs per engine — the raw
 // numbers behind the simulator's Fig. 2 speed — plus a serial-vs-parallel
 // experiment-runner comparison and an n-scaling curve (events/sec and
-// resident bytes/node at n up to 4096; see docs/SCALING.md), all written
+// resident bytes/node at n up to 16384; see docs/SCALING.md), all written
 // to a JSON file (default micro_engine.json; --json PATH to move, --jobs N
 // to size the pool, --intra-jobs N to size the windowed-parallel driver,
 // --skip-micro to run only the measurements, --skip-scaling to omit the
@@ -15,12 +15,14 @@
 // comparisons.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "baseline/baseline.hpp"
 #include "bench_common.hpp"
@@ -190,16 +192,15 @@ json::Value measure_engine_throughput() {
   return json::Value{std::move(rows)};
 }
 
-/// Measures the n-scaling curve: one single run per (protocol, n) point,
-/// recording engine throughput (events/sec) and the per-node resident
-/// memory cost. Memory attribution: trim the heap and take an RSS
-/// baseline, reset the kernel's peak-RSS watermark, run, and charge the
-/// peak-minus-baseline delta to the run (bytes_per_node = delta / n).
-/// Decision counts shrink with n so every point costs bounded wall time —
-/// PBFT's message complexity is quadratic, so one decision at n=4096 is
-/// already ~28M events. Points run in increasing-footprint order so a big
-/// point's freed-but-cached pages cannot pollute a smaller point's
-/// baseline.
+/// Measures the n-scaling curve: kScalingRepeats runs per (protocol, n)
+/// point, recording engine throughput (events/sec) and the per-node
+/// resident memory cost as a median with min/max. Memory attribution per
+/// run: trim the heap and take an RSS baseline, reset the kernel's
+/// peak-RSS watermark, run, and charge the peak-minus-baseline delta to
+/// the run (bytes_per_node = delta / n). Decision counts are set so every
+/// point costs bounded wall time — PBFT's message complexity is
+/// quadratic, so one decision at n=4096 is already ~28M events — while the
+/// hotstuff-ns runs at n >= 1024 last over bench_gate's 0.1 s speed floor.
 json::Value measure_scaling_curve() {
   struct Point {
     const char* protocol;
@@ -207,13 +208,16 @@ json::Value measure_scaling_curve() {
     std::uint32_t decisions;
   };
   const Point points[] = {
-      {"hotstuff-ns", 64, 100}, {"hotstuff-ns", 256, 50},
-      {"hotstuff-ns", 1024, 20}, {"hotstuff-ns", 4096, 10},
-      {"pbft", 64, 10},          {"pbft", 256, 4},
-      {"pbft", 1024, 1},         {"pbft", 4096, 1},
+      {"hotstuff-ns", 64, 100},   {"hotstuff-ns", 256, 50},
+      {"hotstuff-ns", 1024, 200}, {"hotstuff-ns", 4096, 40},
+      {"hotstuff-ns", 16384, 10}, {"pbft", 64, 10},
+      {"pbft", 256, 4},           {"pbft", 1024, 1},
+      {"pbft", 4096, 1},
   };
+  constexpr int kScalingRepeats = 3;
 
-  std::printf("\n--- n-scaling curve (single run per point) ---\n");
+  std::printf("\n--- n-scaling curve (median of %d runs per point) ---\n",
+              kScalingRepeats);
   json::Array rows;
   for (const Point& p : points) {
     SimConfig cfg;
@@ -224,45 +228,61 @@ json::Value measure_scaling_curve() {
     cfg.decisions = p.decisions;
     cfg.seed = 1;
 
-    trim_heap();
-    const std::size_t baseline_rss = current_rss_bytes();
-    // When the watermark cannot be reset (locked-down /proc), fall back to
-    // the post-run RSS: slightly below the true peak, but still a usable
-    // per-point figure rather than a whole-process high-water mark.
-    const bool peak_reset = reset_peak_rss();
+    std::vector<double> walls, rates, bytes;
+    double events = 0.0;
+    bool terminated = true;
+    bool peak_reset = true;
+    for (int r = 0; r < kScalingRepeats; ++r) {
+      trim_heap();
+      const std::size_t baseline_rss = current_rss_bytes();
+      // When the watermark cannot be reset (locked-down /proc), fall back
+      // to the post-run RSS: slightly below the true peak, but still a
+      // usable per-point figure rather than a whole-process high-water mark.
+      peak_reset = reset_peak_rss() && peak_reset;
 
-    const auto start = std::chrono::steady_clock::now();
-    const RunResult result = run_simulation(cfg);
-    const double seconds = seconds_since(start);
+      const auto start = std::chrono::steady_clock::now();
+      const RunResult result = run_simulation(cfg);
+      const double seconds = seconds_since(start);
 
-    const std::size_t after_rss =
-        peak_reset ? peak_rss_bytes() : current_rss_bytes();
-    const std::size_t rss_delta =
-        after_rss > baseline_rss ? after_rss - baseline_rss : 0;
-    const double bytes_per_node =
-        static_cast<double>(rss_delta) / static_cast<double>(p.n);
-    const double events =
-        static_cast<double>(result.events_processed);
-    const double events_per_sec = seconds > 0.0 ? events / seconds : 0.0;
+      const std::size_t after_rss =
+          peak_reset ? peak_rss_bytes() : current_rss_bytes();
+      const std::size_t rss_delta =
+          after_rss > baseline_rss ? after_rss - baseline_rss : 0;
+      events = static_cast<double>(result.events_processed);
+      terminated = terminated && result.terminated;
+      walls.push_back(seconds);
+      rates.push_back(seconds > 0.0 ? events / seconds : 0.0);
+      bytes.push_back(static_cast<double>(rss_delta) /
+                      static_cast<double>(p.n));
+    }
+    for (auto* v : {&walls, &rates, &bytes}) std::sort(v->begin(), v->end());
+    const auto mid = [](const std::vector<double>& v) {
+      return v[v.size() / 2];
+    };
 
-    std::printf("%-12s n=%-5u %10.0f events in %7.3f s -> %10.0f events/s, "
-                "%8.0f bytes/node%s\n",
-                p.protocol, p.n, events, seconds, events_per_sec,
-                bytes_per_node, result.terminated ? "" : "  [DID NOT DECIDE]");
+    std::printf("%-12s n=%-5u %10.0f events in %7.3f s -> %10.0f events/s "
+                "[%.0f, %.0f], %8.0f bytes/node%s\n",
+                p.protocol, p.n, events, mid(walls), mid(rates), rates.front(),
+                rates.back(), mid(bytes),
+                terminated ? "" : "  [DID NOT DECIDE]");
 
     json::Object row;
     row["protocol"] = p.protocol;
     row["n"] = static_cast<std::int64_t>(p.n);
     row["decisions"] = static_cast<std::int64_t>(p.decisions);
-    row["terminated"] = result.terminated;
-    row["events_processed"] = events;
-    row["wall_seconds"] = seconds;
-    row["events_per_sec"] = events_per_sec;
-    row["baseline_rss_bytes"] = static_cast<std::int64_t>(baseline_rss);
-    row["peak_rss_bytes"] = static_cast<std::int64_t>(after_rss);
+    row["repeats"] = static_cast<std::int64_t>(kScalingRepeats);
+    row["terminated"] = terminated;
     row["peak_reset_supported"] = peak_reset;
-    row["rss_delta_bytes"] = static_cast<std::int64_t>(rss_delta);
-    row["bytes_per_node"] = bytes_per_node;
+    row["events_processed"] = events;
+    row["wall_seconds"] = mid(walls);
+    row["wall_seconds_min"] = walls.front();
+    row["wall_seconds_max"] = walls.back();
+    row["events_per_sec"] = mid(rates);
+    row["events_per_sec_min"] = rates.front();
+    row["events_per_sec_max"] = rates.back();
+    row["bytes_per_node"] = mid(bytes);
+    row["bytes_per_node_min"] = bytes.front();
+    row["bytes_per_node_max"] = bytes.back();
     rows.push_back(json::Value{std::move(row)});
   }
   return json::Value{std::move(rows)};

@@ -371,11 +371,23 @@ void register_builtin_attacks(AttackRegistry& registry) {
     return cfg.attack_params.is_object() ? cfg.attack_params.get_string(key, fallback)
                                          : fallback;
   };
+  // A two-way `mode`: true for `first` (also the default), false for
+  // `second`; any other string is a config error, not silently `second`.
+  const auto get_mode = [=](const SimConfig& cfg, const std::string& first,
+                            const std::string& second) {
+    const std::string mode = get_str(cfg, "mode", first);
+    if (mode != first && mode != second) {
+      cfgcheck::fail("$.attack_params.mode", "unknown mode \"" + mode +
+                                                 "\" (expected \"" + first +
+                                                 "\" or \"" + second + "\")");
+    }
+    return mode == first;
+  };
 
   registry.add("partition", [=](const SimConfig& cfg) -> std::unique_ptr<Attacker> {
     const auto subnets = static_cast<std::uint32_t>(get_num(cfg, "subnets", 2));
     const Time resolve_at = from_ms(get_num(cfg, "resolve_ms", 30'000.0));
-    const bool drop_mode = get_str(cfg, "mode", "drop") == "drop";
+    const bool drop_mode = get_mode(cfg, "drop", "delay");
     return std::make_unique<PartitionAttack>(subnets, resolve_at, drop_mode);
   });
   registry.add("add-static", [](const SimConfig& cfg) -> std::unique_ptr<Attacker> {
@@ -397,7 +409,7 @@ void register_builtin_attacks(AttackRegistry& registry) {
     const auto keep = static_cast<std::uint32_t>(get_num(cfg, "keep", 0));
     const Time start = from_ms(get_num(cfg, "start_ms", 0.0));
     const Time duration = from_ms(get_num(cfg, "duration_ms", 30'000.0));
-    const bool drop_mode = get_str(cfg, "mode", "drop") == "drop";
+    const bool drop_mode = get_mode(cfg, "drop", "delay");
     return std::make_unique<EclipseAttack>(victim, keep, start,
                                            start + duration, drop_mode);
   });
@@ -406,7 +418,7 @@ void register_builtin_attacks(AttackRegistry& registry) {
     const auto subnets = static_cast<std::uint32_t>(get_num(cfg, "subnets", 2));
     const Time period = from_ms(get_num(cfg, "period_ms", cfg.lambda_ms));
     const Time resolve = from_ms(get_num(cfg, "resolve_ms", 30'000.0));
-    const bool drop_mode = get_str(cfg, "mode", "drop") == "drop";
+    const bool drop_mode = get_mode(cfg, "drop", "delay");
     return std::make_unique<AdaptivePartitionAttack>(subnets, period, resolve,
                                                      drop_mode);
   });
@@ -418,7 +430,7 @@ void register_builtin_attacks(AttackRegistry& registry) {
       cfgcheck::fail("$.attack_params.type",
                      "unknown message type \"" + name + "\"");
     }
-    const bool stall = get_str(cfg, "mode", "stall") == "stall";
+    const bool stall = get_mode(cfg, "stall", "rush");
     const Time amount = from_ms(get_num(cfg, "amount_ms", cfg.lambda_ms));
     const Time start = from_ms(get_num(cfg, "start_ms", 0.0));
     const Time duration =

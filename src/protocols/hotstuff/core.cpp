@@ -141,12 +141,8 @@ std::optional<QuorumCert> Core::add_vote(View view, Value block_id, NodeId voter
   if (qc_formed_.contains(key)) return std::nullopt;
   if (!votes_.add_reaches(key, voter, quorum(ctx))) return std::nullopt;
   qc_formed_.mark(key);
-  QuorumCert qc;
-  qc.view = view;
-  qc.block = block_id;
-  const auto& voters = votes_.voters(key);
-  qc.signers.assign(voters.begin(), voters.end());
-  return qc;
+  const VoterSet& voters = votes_.voters(key);
+  return QuorumCert{view, block_id, SignerList(voters.begin(), voters.end())};
 }
 
 void Core::request_block(Value block_id, NodeId from, Context& ctx) {

@@ -100,10 +100,8 @@ void LibraBftNode::handle_timeout(const Message& msg, Context& ctx) {
   if (!timeout_votes_.add_reaches(m.view, msg.src, Core::quorum(ctx))) return;
   if (!tc_formed_.mark(m.view)) return;
 
-  TimeoutCert tc;
-  tc.view = m.view;
-  const auto& voters = timeout_votes_.voters(m.view);
-  tc.signers.assign(voters.begin(), voters.end());
+  const VoterSet& voters = timeout_votes_.voters(m.view);
+  const TimeoutCert tc{m.view, SignerList(voters.begin(), voters.end())};
   // Rebroadcast the certificate so laggards jump with us.
   ctx.broadcast(ctx.make_payload<TcMsg>(tc), /*include_self=*/false);
   handle_tc(tc, ctx);

@@ -227,6 +227,39 @@ TEST(DelayScheduleAttackTest, UnknownTypeIsAConfigError) {
   }
 }
 
+TEST(AttackModeTest, UnknownModeIsAConfigError) {
+  // Each mode is two-way; a typo used to run as the other mode ("stal" as
+  // a rush, "dorp" as delay). It must fail when the attack is built, and
+  // both spellings of each pair must still build.
+  struct Case {
+    const char* attack;
+    const char* first;
+    const char* second;
+    const char* typo;
+  };
+  for (const Case& c : {Case{"partition", "drop", "delay", "dorp"},
+                        Case{"eclipse", "drop", "delay", "Drop"},
+                        Case{"adaptive-partition", "drop", "delay", ""},
+                        Case{"delay-schedule", "stall", "rush", "stal"}}) {
+    SimConfig cfg = base_config("pbft");
+    cfg.attack = c.attack;
+    for (const char* ok : {c.first, c.second}) {
+      cfg.attack_params = params({{"type", "pbft/commit"}, {"mode", ok}});
+      EXPECT_NO_THROW((void)make_attacker(cfg)) << c.attack << " " << ok;
+    }
+    cfg.attack_params = params({{"type", "pbft/commit"}, {"mode", c.typo}});
+    try {
+      (void)make_attacker(cfg);
+      ADD_FAILURE() << c.attack << " accepted mode \"" << c.typo << "\"";
+    } catch (const std::invalid_argument& e) {
+      const std::string expected =
+          std::string("config error at $.attack_params.mode: unknown mode \"") +
+          c.typo + "\" (expected \"" + c.first + "\" or \"" + c.second + "\")";
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+}
+
 TEST(DelayScheduleAttackTest, RushNeverPullsBelowTheModelMinimum) {
   // Rushing by far more than the mean delay clamps at the delay spec's
   // min_ms: every rushed delivery still arrives strictly after its send.

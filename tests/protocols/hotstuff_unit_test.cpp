@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/mock_context.hpp"
 #include "protocols/hotstuff/hotstuff_ns.hpp"
 
@@ -261,6 +264,58 @@ TEST(HotStuffNsUnitTest, FollowerRejectsForgedProposal) {
   msg.payload = make_payload<Proposal>(b, Signature{1, b.digest(), 0xBAD});
   follower.on_message(msg, ctx);
   EXPECT_TRUE(ctx.sent.empty());
+}
+
+/// Node 0 receives the signed chain genesis <- b1 <- b2 <- b3 (views 1-3),
+/// then a view-5 proposal from leader 1 whose block `b4` was first stored
+/// by another replica and is re-delivered from that replica's store, with
+/// `justify` as its certificate for b3. Returns node 0's decisions and the
+/// justify view of its own view-4 proposal (its high QC by then).
+std::pair<std::vector<Value>, View> run_with_b3_justify(
+    const QuorumCert& justify) {
+  SimConfig cfg;
+  cfg.protocol = "hotstuff-ns";
+  cfg.n = kN;
+  cfg.lambda_ms = 1000;
+  MockContext ctx(0, kN, 1, kLambda);
+  HotStuffNsNode node(0, cfg);
+  node.on_start(ctx);
+  const auto deliver = [&](const Block& b, NodeId leader) {
+    const Signature sig = ctx.signer().sign(leader, b.digest());
+    ctx.deliver(node, leader, std::make_shared<const Proposal>(b, sig));
+  };
+  deliver(make_block(1, kGenesisId, 1, 1, QuorumCert{0, kGenesisId, {}}), 1);
+  deliver(make_block(2, 1, 2, 2, qc_for(1, 1)), 2);
+  deliver(make_block(3, 2, 3, 3, qc_for(2, 2)), 3);
+
+  Core server(1);
+  server.store(make_block(4, 3, 5, 4, justify));
+  const Block& stored = *server.find(4);
+  EXPECT_TRUE(stored.justify.signers.shares_body_with(justify.signers));
+  ctx.clear_sent();
+  deliver(stored, 1);
+  const auto own = ctx.sent_of<Proposal>();  // node 0 leads view 4
+  EXPECT_EQ(own.size(), 1u);
+  return {ctx.decisions, own.empty() ? View{0} : own[0]->block.justify.view};
+}
+
+TEST(HotStuffNsUnitTest, ForgedJustifyIsCheckedOnArrivalAfterSharing) {
+  // A certificate travels by handle: the block store, the proposal and
+  // the receiver's state share one signer body. Sharing must not turn
+  // into trust: a duplicate-signer or short certificate is rejected on
+  // arrival, so it neither commits b1 nor becomes the high QC.
+  const auto [genuine_decisions, genuine_high] =
+      run_with_b3_justify(qc_for(3, 3));
+  ASSERT_EQ(genuine_decisions.size(), 1u);
+  EXPECT_EQ(genuine_decisions[0], Value{1000});  // b1 committed
+  EXPECT_EQ(genuine_high, 3u);
+
+  for (const SignerList& forged : {SignerList{0, 0, 1}, SignerList{0, 1}}) {
+    const auto [decisions, high] =
+        run_with_b3_justify(QuorumCert{3, 3, forged});
+    EXPECT_TRUE(decisions.empty());
+    EXPECT_EQ(high, 2u);  // still QC(b2)
+  }
 }
 
 }  // namespace

@@ -104,6 +104,23 @@ TEST(LibraUnitTest, InvalidTcIsIgnored)
   EXPECT_EQ(ctx.views.back(), 1u);  // unmoved
 }
 
+TEST(LibraUnitTest, ForgedTcIsCheckedOnEveryArrival) {
+  // One TcMsg payload, and with it one shared signer body, re-delivered
+  // to a second node: each receiver checks the certificate on arrival,
+  // so a duplicate-signer or short TC moves neither.
+  for (const SignerList& forged : {SignerList{0, 0, 1}, SignerList{0, 1}}) {
+    const auto msg = std::make_shared<const TcMsg>(TimeoutCert{7, forged});
+    EXPECT_TRUE(msg->tc.signers.shares_body_with(forged));
+    for (const NodeId id : {NodeId{3}, NodeId{2}}) {
+      MockContext ctx(id, kN, 1, kLambda);
+      LibraBftNode node(id, config());
+      node.on_start(ctx);
+      ctx.deliver(node, 0, msg);
+      EXPECT_EQ(ctx.views.back(), 1u) << "node " << id << " moved";
+    }
+  }
+}
+
 TEST(LibraUnitTest, StaleTimeoutsAreIgnored) {
   MockContext ctx(3, kN, 1, kLambda);
   LibraBftNode node(3, config());

@@ -1,8 +1,10 @@
-// Large-n smoke tests (label `scale`, not tier1): a single PBFT run at
-// n=1024 must complete, agree, stay within a resident-memory budget, and
-// replay bit-identically. These runs take seconds in a release build —
-// tier1 stays fast by excluding them; CI runs them in the scale-smoke job
-// (`ctest -L scale`). Set BFTSIM_SCALE_XL=1 to also exercise n=4096.
+// Large-n smoke tests (label `scale`, not tier1): single PBFT runs at
+// n=1024 and a HotStuff-NS run at n=16384 must complete, agree and stay
+// within a resident-memory budget, and the windowed driver must replay
+// its serial baseline bit-identically. These runs take seconds in a
+// release build — tier1 stays fast by excluding them; CI runs them in the
+// scale-smoke job (`ctest -L scale`). Set BFTSIM_SCALE_XL=1 to also
+// exercise PBFT at n=4096.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +12,7 @@
 
 #include "core/memstats.hpp"
 #include "sim/simulation.hpp"
+#include "sim/windowed.hpp"
 
 namespace bftsim {
 namespace {
@@ -129,6 +132,75 @@ TEST(ScaleSmoke, Pbft1024WindowedIntraJobs4) {
   // Both runs together; TSan slows the engine ~10x, so the budget is wide
   // — it exists to catch windowed-driver livelock, not to measure speed.
   EXPECT_LT(seconds, 300.0) << "windowed n=1024 run exceeded the wall budget";
+}
+
+/// The HotStuff-NS scale shape: λ=1000, N(250,50), as on the n-scaling
+/// curve (bench/micro_engine).
+SimConfig hotstuff_config(std::uint32_t n, std::uint32_t decisions) {
+  SimConfig cfg;
+  cfg.protocol = "hotstuff-ns";
+  cfg.n = n;
+  cfg.lambda_ms = 1000;
+  cfg.delay = DelaySpec::normal(250, 50);
+  cfg.decisions = decisions;
+  cfg.seed = 1;
+  return cfg;
+}
+
+TEST(ScaleSmoke, Hotstuff16384CompletesAndAgrees) {
+  // Every proposal carries an ~11k-signer QC. Certificates share one
+  // signer body, so node state grows with the blocks held, not with their
+  // signers; a copied list would cost ~44 KB per stored block per node,
+  // dozens of times the budget below.
+  trim_heap();
+  const std::size_t baseline = current_rss_bytes();
+  const bool peak_reset = reset_peak_rss();
+
+  const RunResult result = run_simulation(hotstuff_config(16384, 10));
+  expect_agreement(result, 16384);
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "RSS budget not meaningful under sanitizers";
+#else
+  // Measured: ~5.4 KB/node for this exact run (RelWithDebInfo, x86-64,
+  // 0.7 s); the budget leaves about 2x for allocator and machine variance.
+  constexpr std::size_t kBudgetBytesPerNode = 12 * 1024;
+  if (!peak_reset || peak_rss_bytes() == 0) {
+    GTEST_SKIP() << "peak-RSS readings unavailable on this system";
+  }
+  const std::size_t peak = peak_rss_bytes();
+  const std::size_t per_node = (peak > baseline ? peak - baseline : 0) / 16384;
+  EXPECT_LT(per_node, kBudgetBytesPerNode)
+      << "hotstuff-ns n=16384 used " << per_node << " bytes/node";
+#endif
+}
+
+TEST(ScaleSmoke, HotstuffWindowedIntraJobs4) {
+  // hotstuff-ns on the windowed driver at intra_jobs=4 (CI runs this under
+  // TSan in the tsan-scale job): lanes read one proposal payload at once,
+  // and with it one shared certificate body, whose verdict and digest
+  // caches fill on first use. The run must agree and match its serial
+  // per-node-RNG baseline bit for bit.
+  SimConfig cfg = hotstuff_config(4096, 5);
+  cfg.engine.rng = EngineConfig::RngMode::kPerNode;
+  cfg.engine.intra_jobs = 1;
+  const RunResult serial = run_simulation(cfg);
+  cfg.engine.intra_jobs = 4;
+  ASSERT_EQ(effective_lanes(cfg), 4u);
+  const RunResult parallel = run_simulation(cfg);
+
+  expect_agreement(parallel, 4096);
+  EXPECT_EQ(parallel.events_processed, serial.events_processed);
+  EXPECT_EQ(parallel.messages_sent, serial.messages_sent);
+  EXPECT_EQ(parallel.messages_delivered, serial.messages_delivered);
+  EXPECT_EQ(parallel.termination_time, serial.termination_time);
+  ASSERT_EQ(parallel.decisions.size(), serial.decisions.size());
+  for (std::size_t i = 0; i < parallel.decisions.size(); ++i) {
+    EXPECT_EQ(parallel.decisions[i].node, serial.decisions[i].node);
+    EXPECT_EQ(parallel.decisions[i].at, serial.decisions[i].at);
+    EXPECT_EQ(parallel.decisions[i].height, serial.decisions[i].height);
+    EXPECT_EQ(parallel.decisions[i].value, serial.decisions[i].value);
+  }
 }
 
 TEST(ScaleSmoke, Pbft4096Completes) {
