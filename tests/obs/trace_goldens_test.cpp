@@ -13,8 +13,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <ostream>
 #include <string>
-#include <tuple>
 
 #include "core/config.hpp"
 #include "core/json.hpp"
@@ -37,9 +37,18 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-class TraceGoldensTest
-    : public ::testing::TestWithParam<std::tuple<const char*, TraceSinkKind>> {
+struct TraceCase {
+  const char* run;
+  TraceSinkKind sink;
 };
+
+// Printed by value so the listed test names do not carry the address of
+// the run-name literal, which moves from one process start to the next.
+void PrintTo(const TraceCase& c, std::ostream* os) {
+  *os << c.run << "/" << to_string(c.sink);
+}
+
+class TraceGoldensTest : public ::testing::TestWithParam<TraceCase> {};
 
 TEST_P(TraceGoldensTest, RerecordMatchesCheckedInBytes) {
   const auto [run, sink] = GetParam();
@@ -58,12 +67,13 @@ TEST_P(TraceGoldensTest, RerecordMatchesCheckedInBytes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Runs, TraceGoldensTest,
-    ::testing::Combine(::testing::Values("pbft_corrupt", "hotstuff_ns"),
-                       ::testing::Values(TraceSinkKind::kJsonl,
-                                         TraceSinkKind::kBinary)),
+    ::testing::Values(TraceCase{"pbft_corrupt", TraceSinkKind::kJsonl},
+                      TraceCase{"pbft_corrupt", TraceSinkKind::kBinary},
+                      TraceCase{"hotstuff_ns", TraceSinkKind::kJsonl},
+                      TraceCase{"hotstuff_ns", TraceSinkKind::kBinary}),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             std::string(to_string(std::get<1>(info.param)));
+      return std::string(info.param.run) + "_" +
+             std::string(to_string(info.param.sink));
     });
 
 }  // namespace
